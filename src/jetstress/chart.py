@@ -5,7 +5,9 @@ residuals) integrates by parts at some point; the Stokes residual computed
 here is the oracle those identities are checked against.
 
 Axes are 0-based.  A field is any callable taking a length-d coordinate
-array and returning a float.
+array and returning a float.  This module is the one place that walks a
+point set (`sup_norm` over a probe lattice, the quadrature sum) or builds a
+gradient block (`gradient`); the identity modules compose these.
 """
 from __future__ import annotations
 
@@ -86,19 +88,11 @@ class ChartDomain:
     def is_periodic(self, axis: int) -> bool:
         return self.axis_kind[axis] == PERIODIC
 
-    def extent(self, axis: int) -> float:
-        lo, hi = self.bounds[axis]
-        return hi - lo
-
     def faces(self) -> Iterator[BoundaryFace]:
         for axis in range(self.dim):
             if not self.is_periodic(axis):
                 yield BoundaryFace(axis, "lower")
                 yield BoundaryFace(axis, "upper")
-
-    def contains(self, X: np.ndarray, tol: float = 1e-12) -> bool:
-        X = np.asarray(X, dtype=float)
-        return all(lo - tol <= x <= hi + tol for x, (lo, hi) in zip(X, self.bounds))
 
 
 @dataclass(frozen=True)
@@ -110,12 +104,6 @@ class ScalarField:
 
     def __call__(self, X) -> float:
         return float(self.func(np.asarray(X, dtype=float)))
-
-
-def as_field(f, smoothness: int = 2) -> ScalarField:
-    if isinstance(f, ScalarField):
-        return f
-    return ScalarField(f, smoothness)
 
 
 @dataclass(frozen=True)
@@ -198,6 +186,13 @@ def partial_derivative(
     return float(sum(wj * probe(o) for wj, o in zip(w, offsets)) / h)
 
 
+def gradient(fs: Sequence[Evaluator], X, dom: ChartDomain,
+             scheme: FDScheme = FDScheme()) -> np.ndarray:
+    """(m, d) block of base derivatives: entry [i, a] differentiates fs[i] along axis a at X."""
+    return np.array([[partial_derivative(f, a, X, dom, scheme) for a in range(dom.dim)]
+                     for f in fs])
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Tensor-product Gauss-Legendre rule; `panels` splits each axis into
@@ -235,11 +230,15 @@ def volume_nodes(dom: ChartDomain, rule: QuadratureRule) -> tuple[np.ndarray, np
     return _tensor_nodes(axes)
 
 
-def integrate_volume(coeff: Evaluator, dom: ChartDomain, rule: QuadratureRule = QuadratureRule()) -> float:
-    """Quadrature of a volume-form coefficient against dX over the box."""
-    pts, wts = volume_nodes(dom, rule)
+def _weighted_sum(coeff: Evaluator, nodes: tuple[np.ndarray, np.ndarray]) -> float:
+    pts, wts = nodes
     vals = np.fromiter((float(coeff(x)) for x in pts), dtype=float, count=len(pts))
     return float(np.dot(wts, vals))
+
+
+def integrate_volume(coeff: Evaluator, dom: ChartDomain, rule: QuadratureRule = QuadratureRule()) -> float:
+    """Quadrature of a volume-form coefficient against dX over the box."""
+    return _weighted_sum(coeff, volume_nodes(dom, rule))
 
 
 def face_nodes(dom: ChartDomain, face: BoundaryFace, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
@@ -258,9 +257,7 @@ def integrate_face(coeff: Evaluator, face: BoundaryFace, dom: ChartDomain,
                    rule: QuadratureRule = QuadratureRule()) -> float:
     """Unsigned quadrature of a (d-1)-form coefficient over one face, against
     the interior product of the face axis with dX."""
-    pts, wts = face_nodes(dom, face, rule)
-    vals = np.fromiter((float(coeff(x)) for x in pts), dtype=float, count=len(pts))
-    return float(np.dot(wts, vals))
+    return _weighted_sum(coeff, face_nodes(dom, face, rule))
 
 
 def integrate_boundary(coeff: Evaluator, face: BoundaryFace, dom: ChartDomain,
@@ -319,3 +316,13 @@ def face_grid(dom: ChartDomain, face: BoundaryFace, samples: int = 17, margin: f
         else:
             axes.append(np.linspace(alo + margin, ahi - margin, samples))
     return np.asarray(list(itertools.product(*axes)), dtype=float)
+
+
+def sup_norm(f: Callable[[np.ndarray], object], points: np.ndarray) -> float:
+    """Largest |entry| of a scalar- or array-valued f over the points.
+
+    An empty point set raises, so that no sup-norm check passes vacuously.
+    """
+    if len(points) == 0:
+        raise ValueError("sup norm over an empty point set")
+    return max(float(np.max(np.abs(f(X)))) for X in points)

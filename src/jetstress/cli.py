@@ -5,12 +5,13 @@ override file values.  Exit codes: 0 all checks pass, 1 a check failed,
 2 config error, 3 internal error.
 
 JSON reports use a stable schema (keys: scenario, config, checks[], pass);
-numbers are serialized with 17 significant digits so parsing reproduces
+floats are written as their shortest round-trip repr, so parsing reproduces
 every numeric field exactly.
 """
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from dataclasses import fields as dc_fields
 from typing import Any
@@ -75,26 +76,6 @@ def build_config(values: dict[str, Any]) -> ScenarioConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _json_dump(obj: Any) -> str:
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return format(obj, ".17g")
-    if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{out}"'
-    if isinstance(obj, dict):
-        items = ", ".join(f"{_json_dump(str(k))}: {_json_dump(v)}" for k, v in obj.items())
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_json_dump(v) for v in obj) + "]"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
 def report_to_dict(report: Report) -> dict[str, Any]:
     return {
         "scenario": report.scenario,
@@ -110,7 +91,7 @@ def report_to_dict(report: Report) -> dict[str, Any]:
 
 def emit_report(report: Report, fmt: str = "json") -> str:
     if fmt == "json":
-        return _json_dump(report_to_dict(report)) + "\n"
+        return json.dumps(report_to_dict(report), allow_nan=False) + "\n"
     if fmt == "text":
         lines = [f"scenario: {report.scenario}"]
         for c in report.checks:

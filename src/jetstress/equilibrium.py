@@ -1,19 +1,16 @@
 """Equilibrium residuals and weak/strong consistency of the stress representation."""
 from __future__ import annotations
 
-import numpy as np
-
 from .chart import (
     ChartDomain,
     FDScheme,
     QuadratureRule,
     ScalarField,
     face_grid,
-    integrate_face,
-    integrate_volume,
+    sup_norm,
     uniform_grid,
 )
-from .forces import BodyForceDensity, ForceFunctional
+from .forces import BodyForceDensity, ForceFunctional, virtual_power_of_force
 from .sections import VelocityField
 from .stress import (
     VariationalStressDensity,
@@ -42,19 +39,15 @@ def equilibrium_residuals(s: VariationalStressDensity, f: ForceFunctional,
     """Strong-form residuals: sup |div(s) + b| on an interior lattice and
     sup |t - Cauchy(P(s))| over face lattices."""
     div = divergence(s, dom, scheme)
-    interior = 0.0
-    for X in uniform_grid(dom, samples):
-        r = div.value(X) + f.body.value(X)
-        interior = max(interior, float(np.max(np.abs(r))))
+    interior = sup_norm(lambda X: div.value(X) + f.body.value(X), uniform_grid(dom, samples))
 
     tau = traction_extract(s)
     boundary = 0.0
     for face in dom.faces():
         cf = cauchy_face_components(tau, face, dom)
         tf = f.surface.on_face(face, s.fiber_dim)
-        for X in face_grid(dom, face, samples):
-            r = max(abs(ti(X) - ci(X)) for ti, ci in zip(tf, cf))
-            boundary = max(boundary, r)
+        boundary = max(boundary, sup_norm(lambda X: [ti(X) - ci(X) for ti, ci in zip(tf, cf)],
+                                          face_grid(dom, face, samples)))
     return interior, boundary
 
 
@@ -62,23 +55,10 @@ def weak_strong_consistency(s: VariationalStressDensity, v: VelocityField,
                             dom: ChartDomain,
                             rule: QuadratureRule = QuadratureRule(),
                             scheme: FDScheme = FDScheme()) -> float:
-    """|integral of s paired with j1(v)  minus  (-integral of div(s).v plus the
-    boundary Cauchy term)|, the two sides computed by independent code paths."""
+    """|integral of s paired with j1(v)  minus  the power of the force s
+    represents (body -div(s), Cauchy tractions on the faces)|; the two sides
+    share only the quadrature: jet pairing on one, divergence plus Cauchy
+    traction on the other."""
     lhs = virtual_power_of_stress(s, v, dom, rule, scheme)
-
-    div = divergence(s, dom, scheme)
-
-    def div_coeff(X: np.ndarray) -> float:
-        return float(np.dot(div.value(X), v.value(X)))
-
-    rhs = -integrate_volume(div_coeff, dom, rule)
-
-    tau = traction_extract(s)
-    for face in dom.faces():
-        cf = cauchy_face_components(tau, face, dom)
-
-        def face_coeff(X: np.ndarray, cf=cf) -> float:
-            return float(sum(ci(X) * vi(X) for ci, vi in zip(cf, v.components)))
-
-        rhs += integrate_face(face_coeff, face, dom, rule)
+    rhs = virtual_power_of_force(force_from_stress(s, dom, scheme), v, dom, rule)
     return abs(lhs - rhs)

@@ -69,38 +69,13 @@ def random_sine_field(rng: np.random.Generator, dim: int, n_modes: int = 2,
     return sine_field(modes)
 
 
-def _bump1d(t: float, a: float, b: float) -> float:
-    u = (2.0 * t - (a + b)) / (b - a)
-    if abs(u) >= 1.0:
-        return 0.0
-    return math.exp(1.0 - 1.0 / (1.0 - u * u))
-
-
-def bump_field(support: Sequence[Sequence[float]], amplitude: float = 1.0) -> ScalarField:
-    """C-infinity bump, identically zero outside the product of per-axis
-    supports, equal to `amplitude` at the center."""
-    support = [(float(a), float(b)) for a, b in support]
-    amplitude = float(amplitude)
-
-    def ev(X: np.ndarray) -> float:
-        v = amplitude
-        for t, (a, b) in zip(X, support):
-            v *= _bump1d(float(t), a, b)
-            if v == 0.0:
-                return 0.0
-        return v
-
-    return ScalarField(ev, smoothness=99)
-
-
 def poly_bump_field(support: Sequence[Sequence[float]], amplitude: float = 1.0,
                     power: int = 6) -> ScalarField:
     """Piecewise-polynomial compact bump ((t-a)(b-t))^power per axis, scaled
     to `amplitude` at the center; C^(power-1) across the support edges.
 
-    Unlike the exponential bump this stays exactly Gauss-integrable: with
-    quadrature panels aligned to the support edges the integrand is a
-    polynomial on every panel.
+    It stays exactly Gauss-integrable: with quadrature panels aligned to the
+    support edges the integrand is a polynomial on every panel.
     """
     support = [(float(a), float(b)) for a, b in support]
     amplitude = float(amplitude)
@@ -122,7 +97,3 @@ def scaled(f: ScalarField, c: float) -> ScalarField:
     c = float(c)
     return ScalarField(lambda X: c * f(X), smoothness=f.smoothness)
 
-
-def field_sum(*fs: ScalarField) -> ScalarField:
-    return ScalarField(lambda X: sum(f(X) for f in fs),
-                       smoothness=min(f.smoothness for f in fs))

@@ -19,6 +19,7 @@ from .chart import (
     ScalarField,
     integrate_volume,
     partial_derivative,
+    sup_norm,
     uniform_grid,
 )
 from .fields import constant_field
@@ -71,11 +72,7 @@ def scalar_form(f: ScalarField, dim: int) -> PForm:
 
 def form_sup_norm(a: PForm, dom: ChartDomain, samples: int = 9) -> float:
     grid = uniform_grid(dom, samples)
-    worst = 0.0
-    for f in a.components.values():
-        for X in grid:
-            worst = max(worst, abs(f(X)))
-    return worst
+    return max((sup_norm(f, grid) for f in a.components.values()), default=0.0)
 
 
 @dataclass(frozen=True)

@@ -25,12 +25,12 @@ from .chart import (
     face_grid,
     integrate_face,
     integrate_volume,
-    partial_derivative,
+    sup_norm,
     uniform_grid,
 )
-from .forces import BodyForceDensity, SurfaceForceDensity
+from .forces import BodyForceDensity
 from .sections import Configuration, JetPoint, VelocityField, jet_prolong_config
-from .stress import VariationalStressDensity, virtual_power_of_stress
+from .stress import VariationalStressDensity, divergence, virtual_power_of_stress
 
 JetEval = Callable[[JetPoint], float]
 FiberEval = Callable[[np.ndarray, np.ndarray], float]  # (X, x) -> real
@@ -101,8 +101,16 @@ class PotentialDensities:
     surface: Mapping[BoundaryFace, FiberEval]
 
 
-def _vstep(value: float, h0: float = VERTICAL_STEP) -> float:
-    return h0 * max(1.0, abs(value))
+def _central(g: Callable[[np.ndarray], float], base: np.ndarray,
+             idx: int | tuple[int, int], step: float) -> float:
+    """Central difference of g along entry idx of base, with the step scaled
+    by the magnitude of that entry."""
+    h = step * max(1.0, abs(base[idx]))
+    up = np.array(base, dtype=float)
+    down = np.array(base, dtype=float)
+    up[idx] += h
+    down[idx] -= h
+    return (g(up) - g(down)) / (2 * h)
 
 
 def pullback_constitutive(psi: ConstitutiveDensity, kappa: Configuration,
@@ -131,24 +139,10 @@ def constitutive_from_lagrangian(L: LagrangianDensity, fiber_dim: int, base_dim:
     psi_i^a = dL/dx'^i_a, by central differences at fixed other jet coordinates."""
 
     def d_value(i: int) -> JetEval:
-        def ev(jp: JetPoint, i=i) -> float:
-            h = _vstep(jp.x[i], step)
-            xp = jp.x.copy()
-            xm = jp.x.copy()
-            xp[i] += h
-            xm[i] -= h
-            return (L(JetPoint(jp.X, xp, jp.xprime)) - L(JetPoint(jp.X, xm, jp.xprime))) / (2 * h)
-        return ev
+        return lambda jp: _central(lambda x: L(JetPoint(jp.X, x, jp.xprime)), jp.x, i, step)
 
     def d_grad(i: int, a: int) -> JetEval:
-        def ev(jp: JetPoint, i=i, a=a) -> float:
-            h = _vstep(jp.xprime[i, a], step)
-            gp = jp.xprime.copy()
-            gm = jp.xprime.copy()
-            gp[i, a] += h
-            gm[i, a] -= h
-            return (L(JetPoint(jp.X, jp.x, gp)) - L(JetPoint(jp.X, jp.x, gm))) / (2 * h)
-        return ev
+        return lambda jp: _central(lambda g: L(JetPoint(jp.X, jp.x, g)), jp.xprime, (i, a), step)
 
     return ConstitutiveDensity(
         tuple(d_value(i) for i in range(fiber_dim)),
@@ -161,14 +155,7 @@ def loading_from_potential(w: PotentialDensities, fiber_dim: int,
     """Loading densities as negative vertical derivatives of the potentials."""
 
     def neg_grad(g: FiberEval, i: int) -> FiberEval:
-        def ev(X: np.ndarray, x: np.ndarray, g=g, i=i) -> float:
-            h = _vstep(float(x[i]), step)
-            xp = np.array(x, dtype=float)
-            xm = np.array(x, dtype=float)
-            xp[i] += h
-            xm[i] -= h
-            return -(g(X, xp) - g(X, xm)) / (2 * h)
-        return ev
+        return lambda X, x: -_central(lambda y: g(X, y), x, i, step)
 
     body = BodyLoadingDensity(tuple(neg_grad(w.body, i) for i in range(fiber_dim)))
     surf = SurfaceLoadingDensity(
@@ -180,15 +167,6 @@ def loading_from_potential(w: PotentialDensities, fiber_dim: int,
 def pullback_body_loading(B: BodyLoadingDensity, kappa: Configuration) -> BodyForceDensity:
     return BodyForceDensity(tuple(
         ScalarField(lambda X, g=g: g(X, kappa.value(X))) for g in B.components))
-
-
-def pullback_surface_loading(T: SurfaceLoadingDensity, kappa: Configuration,
-                             dom: ChartDomain) -> SurfaceForceDensity:
-    comps = {}
-    for face in dom.faces():
-        gs = T.on_face(face, kappa.fiber_dim)
-        comps[face] = tuple(ScalarField(lambda X, g=g: g(X, kappa.value(X))) for g in gs)
-    return SurfaceForceDensity(comps)
 
 
 def total_energy(kappa: Configuration, L: LagrangianDensity | None,
@@ -242,23 +220,22 @@ def bvp_residual(kappa: Configuration, psi: ConstitutiveDensity,
     if kappa.smoothness < 2:
         raise ValueError("interior residual needs a C2 configuration")
     s = pullback_constitutive(psi, kappa, dom, scheme)
-    m, d = s.fiber_dim, s.base_dim
+    div = divergence(s, dom, scheme)
 
-    interior = 0.0
-    for X in uniform_grid(dom, samples):
+    def interior_residual(X: np.ndarray) -> np.ndarray:
         kx = kappa.value(X)
-        for i in range(m):
-            r = sum(partial_derivative(s.s_mixed[i][a], a, X, dom, scheme) for a in range(d))
-            r -= s.s_lower[i](X)
-            r += body_loading.components[i](X, kx)
-            interior = max(interior, abs(r))
+        return div.value(X) + np.array([B(X, kx) for B in body_loading.components])
+
+    interior = sup_norm(interior_residual, uniform_grid(dom, samples))
 
     boundary = 0.0
     for face in dom.faces():
-        ts = surface_loading.on_face(face, m)
-        for X in face_grid(dom, face, samples):
+        ts = surface_loading.on_face(face, s.fiber_dim)
+
+        def boundary_residual(X: np.ndarray) -> list[float]:
             kx = kappa.value(X)
-            for i in range(m):
-                r = face.induced_sign * s.s_mixed[i][face.axis](X) - ts[i](X, kx)
-                boundary = max(boundary, abs(r))
+            return [face.induced_sign * row[face.axis](X) - T(X, kx)
+                    for row, T in zip(s.s_mixed, ts)]
+
+        boundary = max(boundary, sup_norm(boundary_residual, face_grid(dom, face, samples)))
     return interior, boundary

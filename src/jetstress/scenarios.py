@@ -14,8 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from . import chart, equilibrium, fields, forces, forms, material, sections, stress
-from .chart import ChartDomain, FDScheme, QuadratureRule, ScalarField, uniform_grid
+from . import chart, equilibrium, fields, forces, forms, material, stress
+from .chart import ChartDomain, FDScheme, QuadratureRule, ScalarField, sup_norm, uniform_grid
 from .sections import Configuration, JetPoint, VelocityField, jet_prolong_velocity
 
 
@@ -61,14 +61,20 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         for name, tol in self.tolerances.items():
-            if tol <= 0:
-                raise ConfigError(f"tolerance {name} must be positive, got {tol}")
+            if not (math.isfinite(tol) and tol > 0):
+                raise ConfigError(f"tolerance {name} must be finite and positive, got {tol}")
         if self.q < 1 or self.panels < 1:
             raise ConfigError("quadrature order and panels must be positive")
         if self.fd_order not in (2, 4):
             raise ConfigError("fd_order must be 2 or 4")
-        if self.fd_step <= 0:
-            raise ConfigError("fd_step must be positive")
+        # every scenario runs on the unit box, so the stencil must fit in it
+        if not 0 < self.fd_step * self.fd_order < 1:
+            raise ConfigError(f"fd_step * fd_order must lie in (0, 1), got "
+                              f"{self.fd_step} * {self.fd_order}")
+        if self.samples < 2:
+            raise ConfigError(f"samples must be at least 2, got {self.samples}")
+        if self.count is not None and self.count < 1:
+            raise ConfigError(f"count must be at least 1, got {self.count}")
 
 
 class _Runner:
@@ -159,10 +165,9 @@ def _scenario_exterior_jet(cfg: ScenarioConfig, run: _Runner) -> None:
         # d(tau . v): divergence of the contracted (d-1)-form components
         w = [ScalarField(lambda X, a=a: sum(tau.tau[i][a](X) * v.components[i](X)
                                             for i in range(m))) for a in range(d)]
-        worst = 0.0
-        for X in grid:
-            lhs = sum(chart.partial_derivative(w[a], a, X, dom, scheme) for a in range(d))
-            worst = max(worst, abs(lhs - stress.stress_pairing(s, eta, X)))
+        worst = sup_norm(
+            lambda X: sum(chart.partial_derivative(w[a], a, X, dom, scheme) for a in range(d))
+            - stress.stress_pairing(s, eta, X), grid)
         run.add(f"pair_{k:02d}", worst, 1e-6)
 
 
@@ -179,11 +184,9 @@ def _scenario_divergence(cfg: ScenarioConfig, run: _Runner) -> None:
         div = stress.divergence(s, dom, scheme)
         lifted = stress.exterior_jet(stress.traction_extract(s), dom, scheme)
         eta = jet_prolong_velocity(v, dom, scheme)
-        worst = 0.0
-        for X in grid:
-            lhs = float(np.dot(div.value(X), v.value(X)))
-            rhs = stress.stress_pairing(lifted, eta, X) - stress.stress_pairing(s, eta, X)
-            worst = max(worst, abs(lhs - rhs))
+        worst = sup_norm(
+            lambda X: float(np.dot(div.value(X), v.value(X)))
+            - (stress.stress_pairing(lifted, eta, X) - stress.stress_pairing(s, eta, X)), grid)
         run.add(f"pair_{k:02d}", worst, 1e-6)
 
 
@@ -220,11 +223,10 @@ def _scenario_null_stress(cfg: ScenarioConfig, run: _Runner) -> None:
         power = max(abs(stress.virtual_power_of_stress(s, v, dom, rule, scheme))
                     for v in tests)
         run.add(f"power_{k:02d}", power, 1e-8)
-        magnitude = max(abs(g(X)) for row in s.s_mixed for g in row for X in grid)
+        magnitude = max(sup_norm(g, grid) for row in s.s_mixed for g in row)
         run.add(f"magnitude_{k:02d}", magnitude, 0.1, comparator="ge")
         div = stress.divergence(s, dom, scheme)
-        div_sup = max(float(np.max(np.abs(div.value(X)))) for X in grid)
-        run.add(f"divergence_{k:02d}", div_sup, 1e-6)
+        run.add(f"divergence_{k:02d}", sup_norm(div.value, grid), 1e-6)
 
 
 def _bar_setup() -> tuple[ChartDomain, material.LagrangianDensity,
@@ -346,18 +348,16 @@ def _scenario_pform_leibniz(cfg: ScenarioConfig, run: _Runner) -> None:
     lhs = forms.exterior_derivative(forms.wedge(a, b), dom, scheme)
     da_b = forms.wedge(forms.exterior_derivative(a, dom, scheme), b)
     a_db = forms.wedge(a, forms.exterior_derivative(b, dom, scheme))
-    worst = 0.0
-    for idx in lhs.indices():
-        for X in uniform_grid(dom, cfg.samples):
-            r = lhs.component(idx)(X) - (da_b.component(idx)(X) - a_db.component(idx)(X))
-            worst = max(worst, abs(r))
+    grid = uniform_grid(dom, cfg.samples)
+    worst = max(sup_norm(lambda X: lhs.component(idx)(X)
+                         - (da_b.component(idx)(X) - a_db.component(idx)(X)), grid)
+                for idx in lhs.indices())
     run.add("leibniz", worst, 1e-6)
 
-    anti = 0.0
     ab, ba = forms.wedge(a, b), forms.wedge(b, a)
-    for idx in ab.indices():
-        for X in uniform_grid(dom, 5):
-            anti = max(anti, abs(ab.component(idx)(X) + ba.component(idx)(X)))
+    grid = uniform_grid(dom, 5)
+    anti = max(sup_norm(lambda X: ab.component(idx)(X) + ba.component(idx)(X), grid)
+               for idx in ab.indices())
     run.add("anticommute", anti, 1e-12)
 
     # closed-box power: on a torus the power of any smooth pair integrates to zero

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chart import ChartDomain, FDScheme, ScalarField, partial_derivative, uniform_grid
+from .chart import ChartDomain, FDScheme, ScalarField, gradient, sup_norm, uniform_grid
 
 
 @dataclass(frozen=True)
@@ -95,10 +95,7 @@ def jet_prolong_config(kappa: Configuration, dom: ChartDomain,
     """First jet of a configuration: x = kappa(X), xprime = base gradient of kappa."""
 
     def ev(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = kappa.value(X)
-        xp = np.array([[partial_derivative(f, a, X, dom, scheme)
-                        for a in range(dom.dim)] for f in kappa.components])
-        return x, xp
+        return kappa.value(X), gradient(kappa.components, X, dom, scheme)
 
     return JetSection(ev, kappa.fiber_dim, holonomic=True)
 
@@ -108,10 +105,7 @@ def jet_prolong_velocity(v: VelocityField, dom: ChartDomain,
     """Jet prolongation of a velocity field: xdot = v(X), xdotprime = base gradient of v."""
 
     def ev(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        xd = v.value(X)
-        xdp = np.array([[partial_derivative(f, a, X, dom, scheme)
-                         for a in range(dom.dim)] for f in v.components])
-        return xd, xdp
+        return v.value(X), gradient(v.components, X, dom, scheme)
 
     return VelocityJet(ev, v.fiber_dim)
 
@@ -135,12 +129,6 @@ def holonomy_residual(xi: JetSection, dom: ChartDomain,
                       scheme: FDScheme = FDScheme(), samples: int = 17) -> float:
     """Sup over a probe grid of the mismatch between the stored gradient block
     and the finite-difference gradient of the value block."""
-    m = xi.fiber_dim
-    comps = [ScalarField(lambda X, i=i: xi(X)[0][i]) for i in range(m)]
-    worst = 0.0
-    for X in uniform_grid(dom, samples):
-        _, xp = xi(X)
-        fd = np.array([[partial_derivative(comps[i], a, X, dom, scheme)
-                        for a in range(dom.dim)] for i in range(m)])
-        worst = max(worst, float(np.max(np.abs(xp - fd))))
-    return worst
+    comps = [ScalarField(lambda X, i=i: xi(X)[0][i]) for i in range(xi.fiber_dim)]
+    return sup_norm(lambda X: xi(X)[1] - gradient(comps, X, dom, scheme),
+                    uniform_grid(dom, samples))

@@ -10,10 +10,12 @@ from jetstress.chart import (
     FDScheme,
     QuadratureRule,
     ScalarField,
+    gradient,
     integrate_boundary,
     integrate_volume,
     partial_derivative,
     stokes_residual,
+    sup_norm,
     uniform_grid,
 )
 
@@ -167,3 +169,33 @@ def test_uniform_grid_shapes():
     assert grid.shape == (25, 2)
     per = uniform_grid(ChartDomain.unit(1, periodic=[0]), samples=4)
     assert per.max() < 1.0  # duplicate endpoint dropped
+
+
+def test_gradient_block_matches_partial_derivatives():
+    fs = [fields.coordinate_field(0), ScalarField(lambda X: X[0] * X[1] ** 2)]
+    X = np.array([0.3, 0.6])
+    block = gradient(fs, X, UNIT2)
+    assert block.shape == (2, 2)
+    for i, f in enumerate(fs):
+        for a in range(2):
+            assert block[i, a] == partial_derivative(f, a, X, UNIT2)
+
+
+class TestSupNorm:
+    GRID = uniform_grid(UNIT2, samples=4)
+
+    def test_scalar_field(self):
+        f = ScalarField(lambda X: X[0] - 2.0 * X[1])
+        expected = max(abs(X[0] - 2.0 * X[1]) for X in self.GRID)
+        assert sup_norm(f, self.GRID) == expected == 2.0
+
+    def test_array_valued_field(self):
+        def f(X):
+            return np.array([X[0] * X[1], -3.0 * X[0], 0.5])
+
+        expected = max(abs(v) for X in self.GRID for v in f(X))
+        assert sup_norm(f, self.GRID) == expected == 3.0
+
+    def test_empty_point_set_raises(self):
+        with pytest.raises(ValueError):
+            sup_norm(fields.constant_field(1.0), np.empty((0, 2)))

@@ -54,6 +54,31 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig("stokes", tolerances={"default": 0.0})
 
+    @pytest.mark.parametrize("values", [
+        {"tolerance.default": float("inf")},
+        {"tolerance.default": float("nan")},
+        {"tolerance.pair_00": -1e-6},
+        {"count": -1},
+        {"count": 0},
+        {"samples": 0},
+        {"samples": 1},
+        {"fd_step": 0.3},
+        {"fd_step": 0.25},
+        {"fd_step": 0.0},
+        {"fd_step": 0.5, "fd_order": 2},
+    ], ids=repr)
+    def test_bad_config_rejected(self, values):
+        with pytest.raises(ConfigError):
+            build_config({"scenario": "divergence_identity", **values})
+
+    @pytest.mark.parametrize("values", [
+        {"count": 1, "samples": 2},
+        {"fd_step": 0.2, "fd_order": 4},
+        {"fd_step": 0.45, "fd_order": 2},
+    ], ids=repr)
+    def test_edge_configs_accepted(self, values):
+        build_config({"scenario": "divergence_identity", **values})
+
     def test_config_file_parsing(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(
@@ -167,6 +192,12 @@ class TestMain:
 
     def test_bad_tolerance_spec(self, capsys):
         assert main(["--scenario", "stokes", "--tolerance", "oops"]) == EXIT_CONFIG
+
+    def test_oversized_fd_step_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("scenario = weak_strong\nfd_step = 0.3\n")
+        assert main(["--config", str(path)]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
 
     def test_internal_error_exit_code(self, monkeypatch, capsys):
         import jetstress.cli as cli_mod
