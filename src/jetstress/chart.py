@@ -225,9 +225,14 @@ def _tensor_nodes(axes: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.nda
     return np.asarray(pts, dtype=float), np.asarray(wts, dtype=float)
 
 
+def _pinned(dom: ChartDomain, face: BoundaryFace) -> float:
+    """Coordinate of the face along its own axis."""
+    lo, hi = dom.bounds[face.axis]
+    return lo if face.side == "lower" else hi
+
+
 def volume_nodes(dom: ChartDomain, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
-    axes = [rule.axis_nodes(lo, hi) for lo, hi in dom.bounds]
-    return _tensor_nodes(axes)
+    return _tensor_nodes([rule.axis_nodes(lo, hi) for lo, hi in dom.bounds])
 
 
 def _weighted_sum(coeff: Evaluator, nodes: tuple[np.ndarray, np.ndarray]) -> float:
@@ -242,15 +247,8 @@ def integrate_volume(coeff: Evaluator, dom: ChartDomain, rule: QuadratureRule = 
 
 
 def face_nodes(dom: ChartDomain, face: BoundaryFace, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
-    lo, hi = dom.bounds[face.axis]
-    pinned = lo if face.side == "lower" else hi
-    axes = []
-    for a, (alo, ahi) in enumerate(dom.bounds):
-        if a == face.axis:
-            axes.append((np.array([pinned]), np.array([1.0])))
-        else:
-            axes.append(rule.axis_nodes(alo, ahi))
-    return _tensor_nodes(axes)
+    return _tensor_nodes([(np.array([_pinned(dom, face)]), np.array([1.0])) if a == face.axis
+                          else rule.axis_nodes(lo, hi) for a, (lo, hi) in enumerate(dom.bounds)])
 
 
 def integrate_face(coeff: Evaluator, face: BoundaryFace, dom: ChartDomain,
@@ -291,30 +289,23 @@ def stokes_residual(
     return abs(lhs - rhs)
 
 
+def _grid_axes(dom: ChartDomain, samples: int, margin: float = 0.0) -> list[np.ndarray]:
+    return [np.linspace(lo, hi, samples, endpoint=False) if dom.is_periodic(a)
+            else np.linspace(lo + margin, hi - margin, samples)
+            for a, (lo, hi) in enumerate(dom.bounds)]
+
+
 def uniform_grid(dom: ChartDomain, samples: int = 17, margin: float = 0.0) -> np.ndarray:
     """Uniform probe lattice, `samples` points per axis; `margin` clips off
     the boundary on non-periodic axes, periodic axes drop the duplicate endpoint."""
-    axes = []
-    for a, (lo, hi) in enumerate(dom.bounds):
-        if dom.is_periodic(a):
-            axes.append(np.linspace(lo, hi, samples, endpoint=False))
-        else:
-            axes.append(np.linspace(lo + margin, hi - margin, samples))
-    return np.asarray(list(itertools.product(*axes)), dtype=float)
+    return np.asarray(list(itertools.product(*_grid_axes(dom, samples, margin))), dtype=float)
 
 
-def face_grid(dom: ChartDomain, face: BoundaryFace, samples: int = 17, margin: float = 0.0) -> np.ndarray:
-    """Uniform probe lattice on one boundary face."""
-    lo, hi = dom.bounds[face.axis]
-    pinned = lo if face.side == "lower" else hi
-    axes = []
-    for a, (alo, ahi) in enumerate(dom.bounds):
-        if a == face.axis:
-            axes.append(np.array([pinned]))
-        elif dom.is_periodic(a):
-            axes.append(np.linspace(alo, ahi, samples, endpoint=False))
-        else:
-            axes.append(np.linspace(alo + margin, ahi - margin, samples))
+def face_grid(dom: ChartDomain, face: BoundaryFace, samples: int = 17) -> np.ndarray:
+    """Uniform probe lattice on one boundary face: the volume lattice's axes
+    with the face axis pinned."""
+    axes = _grid_axes(dom, samples)
+    axes[face.axis] = np.array([_pinned(dom, face)])
     return np.asarray(list(itertools.product(*axes)), dtype=float)
 
 

@@ -3,13 +3,15 @@
 Each scenario draws its field data from a fixed family (multivariate
 polynomials with seeded coefficients in [-1, 1], sine modes on periodic
 axes, compact bumps) so that identical (config, seed) pairs give identical
-residuals.
+residuals.  A scenario's defaults and allowed dimensions live in its
+`REGISTRY` row; `run_scenario` fills every key the config leaves unset from
+that row, so the echoed config is the one that ran.
 """
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -55,7 +57,7 @@ class ScenarioConfig:
     panels: int = 1
     fd_order: int = 4
     fd_step: float = 1e-3
-    samples: int = 17
+    samples: int | None = None
     count: int | None = None
     tolerances: dict[str, float] = field(default_factory=dict)
 
@@ -71,10 +73,10 @@ class ScenarioConfig:
         if not 0 < self.fd_step * self.fd_order < 1:
             raise ConfigError(f"fd_step * fd_order must lie in (0, 1), got "
                               f"{self.fd_step} * {self.fd_order}")
-        if self.samples < 2:
-            raise ConfigError(f"samples must be at least 2, got {self.samples}")
-        if self.count is not None and self.count < 1:
-            raise ConfigError(f"count must be at least 1, got {self.count}")
+        for name, low in (("seed", 0), ("d", 1), ("m", 1), ("count", 1), ("samples", 2)):
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise ConfigError(f"{name} must be at least {low}, got {value}")
 
 
 class _Runner:
@@ -110,16 +112,6 @@ def _scheme(cfg: ScenarioConfig) -> FDScheme:
     return FDScheme(cfg.fd_step, cfg.fd_order)
 
 
-def _dims(cfg: ScenarioConfig, d: int, m: int, allowed_d=None) -> tuple[int, int]:
-    d = cfg.d if cfg.d is not None else d
-    m = cfg.m if cfg.m is not None else m
-    if d < 1 or m < 1:
-        raise ConfigError("dimensions must be positive")
-    if allowed_d is not None and d not in allowed_d:
-        raise ConfigError(f"scenario supports d in {sorted(allowed_d)}, got {d}")
-    return d, m
-
-
 def random_velocity(rng: np.random.Generator, d: int, m: int, degree: int = 3) -> VelocityField:
     return VelocityField(tuple(fields.random_polynomial(rng, d, degree) for _ in range(m)))
 
@@ -140,24 +132,22 @@ def random_traction(rng: np.random.Generator, d: int, m: int, degree: int = 3) -
 
 
 def _scenario_stokes(cfg: ScenarioConfig, run: _Runner) -> None:
-    d, _ = _dims(cfg, 2, 1, allowed_d={1, 2, 3})
-    count = cfg.count or 20
+    d = cfg.d
     dom = ChartDomain.unit(d)
     rng = _rng(cfg)
     rule, scheme = _rule(cfg), _scheme(cfg)
-    for k in range(count):
+    for k in range(cfg.count):
         omega = [fields.random_polynomial(rng, d, 3) for _ in range(d)]
         run.add(f"stokes_{k:02d}", chart.stokes_residual(omega, dom, rule, scheme), 1e-6)
 
 
 def _scenario_exterior_jet(cfg: ScenarioConfig, run: _Runner) -> None:
-    d, m = _dims(cfg, 2, 2, allowed_d={1, 2, 3})
-    count = cfg.count or 20
+    d, m = cfg.d, cfg.m
     dom = ChartDomain.unit(d)
     rng = _rng(cfg)
     scheme = _scheme(cfg)
     grid = uniform_grid(dom, cfg.samples)
-    for k in range(count):
+    for k in range(cfg.count):
         tau = random_traction(rng, d, m)
         v = random_velocity(rng, d, m)
         s = stress.exterior_jet(tau, dom, scheme)
@@ -172,13 +162,12 @@ def _scenario_exterior_jet(cfg: ScenarioConfig, run: _Runner) -> None:
 
 
 def _scenario_divergence(cfg: ScenarioConfig, run: _Runner) -> None:
-    d, m = _dims(cfg, 2, 2, allowed_d={1, 2, 3})
-    count = cfg.count or 20
+    d, m = cfg.d, cfg.m
     dom = ChartDomain.unit(d)
     rng = _rng(cfg)
     scheme = _scheme(cfg)
     grid = uniform_grid(dom, cfg.samples)
-    for k in range(count):
+    for k in range(cfg.count):
         s = random_stress(rng, d, m)
         v = random_velocity(rng, d, m)
         div = stress.divergence(s, dom, scheme)
@@ -191,12 +180,11 @@ def _scenario_divergence(cfg: ScenarioConfig, run: _Runner) -> None:
 
 
 def _scenario_weak_strong(cfg: ScenarioConfig, run: _Runner) -> None:
-    d, m = _dims(cfg, 2, 2)
-    count = cfg.count or 20
+    d, m = cfg.d, cfg.m
     dom = ChartDomain.unit(d)
     rng = _rng(cfg)
     rule, scheme = _rule(cfg), _scheme(cfg)
-    for k in range(count):
+    for k in range(cfg.count):
         s = random_stress(rng, d, m)
         v = random_velocity(rng, d, m)
         run.add(f"case_{k:02d}",
@@ -204,8 +192,7 @@ def _scenario_weak_strong(cfg: ScenarioConfig, run: _Runner) -> None:
 
 
 def _scenario_null_stress(cfg: ScenarioConfig, run: _Runner) -> None:
-    d, m = _dims(cfg, 2, 2)
-    count = cfg.count or 10
+    d, m = cfg.d, cfg.m
     dom = ChartDomain.unit(d)
     rng = _rng(cfg)
     scheme = _scheme(cfg)
@@ -214,7 +201,7 @@ def _scenario_null_stress(cfg: ScenarioConfig, run: _Runner) -> None:
     rule = QuadratureRule(max(cfg.q, 8), 4 * max(1, -(-cfg.panels // 4)))
     tests = [random_velocity(rng, d, m) for _ in range(10)]
     grid = uniform_grid(dom, cfg.samples)
-    for k in range(count):
+    for k in range(cfg.count):
         support = [(0.25, 0.75)] * d
         taus = tuple(tuple(fields.poly_bump_field(support, rng.uniform(0.5, 1.5))
                            for _ in range(d)) for _ in range(m))
@@ -275,12 +262,11 @@ def random_lagrangian(rng: np.random.Generator, m: int, d: int,
 
 
 def _scenario_energy_variation(cfg: ScenarioConfig, run: _Runner) -> None:
-    d, m = _dims(cfg, 1, 1)
-    count = cfg.count or 10
+    d, m = cfg.d, cfg.m
     dom = ChartDomain.unit(d)
     rng = _rng(cfg)
     rule, scheme = _rule(cfg), _scheme(cfg)
-    for k in range(count):
+    for k in range(cfg.count):
         kappa = Configuration(tuple(fields.random_polynomial(rng, d, 3) for _ in range(m)),
                               smoothness=2)
         v = random_velocity(rng, d, m)
@@ -290,7 +276,7 @@ def _scenario_energy_variation(cfg: ScenarioConfig, run: _Runner) -> None:
 
 
 def _scenario_equilibrated(cfg: ScenarioConfig, run: _Runner) -> None:
-    d, m = _dims(cfg, 2, 2)
+    d, m = cfg.d, cfg.m
     dom = ChartDomain.unit(d)
     rng = _rng(cfg)
     rule, scheme = _rule(cfg), _scheme(cfg)
@@ -316,29 +302,28 @@ def _scenario_maxwell(cfg: ScenarioConfig, run: _Runner) -> None:
     dom = ChartDomain.unit(4, periodic=range(4))
     metric = forms.minkowski()
     rule, scheme = _rule(cfg), _scheme(cfg)
-    samples = cfg.samples if cfg.samples != 17 else 9
     # null wavevector (light-like in the (-,+,+,+) metric), transverse amplitude
     k_null = np.array([1.0, 1.0, 0.0, 0.0])
     eps = np.array([0.0, 0.0, 1.0, 0.0])
     A = plane_wave_potential(k_null, eps)
-    dF, J = forms.maxwell_vacuum_check(A, metric, dom, rule, scheme, samples)
+    dF, J = forms.maxwell_vacuum_check(A, metric, dom, rule, scheme, cfg.samples)
     run.add("null_wave_dF", dF, 1e-6)
     run.add("null_wave_J", J, 1e-6)
 
     k_bad = np.array([1.0, 0.0, 0.0, 0.0])
     A_bad = plane_wave_potential(k_bad, eps)
-    _, J_bad = forms.maxwell_vacuum_check(A_bad, metric, dom, rule, scheme, samples)
+    _, J_bad = forms.maxwell_vacuum_check(A_bad, metric, dom, rule, scheme, cfg.samples)
     run.add("non_null_J", J_bad, 0.1, comparator="ge")
 
     rng = _rng(cfg)
     B = forms.PForm(1, 4, {(mu,): fields.random_sine_field(rng, 4, n_modes=1)
                            for mu in range(4)})
     ddB = forms.exterior_derivative(forms.exterior_derivative(B, dom, scheme), dom, scheme)
-    run.add("dd_zero", forms.form_sup_norm(ddB, dom, samples), 1e-6)
+    run.add("dd_zero", forms.form_sup_norm(ddB, dom, cfg.samples), 1e-6)
 
 
 def _scenario_pform_leibniz(cfg: ScenarioConfig, run: _Runner) -> None:
-    d, _ = _dims(cfg, 3, 1, allowed_d={2, 3})
+    d = cfg.d
     dom = ChartDomain.unit(d)
     rng = _rng(cfg)
     scheme = _scheme(cfg)
@@ -372,17 +357,20 @@ def _scenario_pform_leibniz(cfg: ScenarioConfig, run: _Runner) -> None:
     run.add("closed_box_power", abs(power), 1e-6)
 
 
-REGISTRY: dict[str, Callable[[ScenarioConfig, _Runner], None]] = {
-    "stokes": _scenario_stokes,
-    "exterior_jet_identity": _scenario_exterior_jet,
-    "divergence_identity": _scenario_divergence,
-    "weak_strong": _scenario_weak_strong,
-    "null_stress": _scenario_null_stress,
-    "hyperelastic_1d_bar": _scenario_bar,
-    "energy_variation": _scenario_energy_variation,
-    "equilibrated_translations": _scenario_equilibrated,
-    "maxwell_vacuum": _scenario_maxwell,
-    "pform_leibniz": _scenario_pform_leibniz,
+# id -> (runner, defaults of the config keys it reads, allowed d or None for any)
+REGISTRY: dict[str, tuple[Callable[[ScenarioConfig, _Runner], None], dict, set | None]] = {
+    "stokes": (_scenario_stokes, {"d": 2, "count": 20}, {1, 2, 3}),
+    "exterior_jet_identity": (_scenario_exterior_jet,
+                              {"d": 2, "m": 2, "count": 20, "samples": 17}, {1, 2, 3}),
+    "divergence_identity": (_scenario_divergence,
+                            {"d": 2, "m": 2, "count": 20, "samples": 17}, {1, 2, 3}),
+    "weak_strong": (_scenario_weak_strong, {"d": 2, "m": 2, "count": 20}, None),
+    "null_stress": (_scenario_null_stress, {"d": 2, "m": 2, "count": 10, "samples": 17}, None),
+    "hyperelastic_1d_bar": (_scenario_bar, {"samples": 17}, None),
+    "energy_variation": (_scenario_energy_variation, {"d": 1, "m": 1, "count": 10}, None),
+    "equilibrated_translations": (_scenario_equilibrated, {"d": 2, "m": 2}, None),
+    "maxwell_vacuum": (_scenario_maxwell, {"samples": 9}, None),
+    "pform_leibniz": (_scenario_pform_leibniz, {"d": 3, "samples": 17}, {3}),
 }
 
 
@@ -390,13 +378,10 @@ def run_scenario(cfg: ScenarioConfig) -> Report:
     if cfg.scenario not in REGISTRY:
         raise UnknownScenarioError(
             f"unknown scenario {cfg.scenario!r}; known: {', '.join(sorted(REGISTRY))}")
+    runner, defaults, allowed_d = REGISTRY[cfg.scenario]
+    cfg = replace(cfg, **{k: v for k, v in defaults.items() if getattr(cfg, k) is None})
+    if allowed_d is not None and cfg.d not in allowed_d:
+        raise ConfigError(f"{cfg.scenario} supports d in {sorted(allowed_d)}, got {cfg.d}")
     run = _Runner(cfg)
-    REGISTRY[cfg.scenario](cfg, run)
-    config_echo = {
-        "scenario": cfg.scenario, "seed": cfg.seed, "d": cfg.d, "m": cfg.m,
-        "q": cfg.q, "panels": cfg.panels, "fd_order": cfg.fd_order,
-        "fd_step": cfg.fd_step, "samples": cfg.samples, "count": cfg.count,
-        "tolerances": dict(cfg.tolerances),
-    }
-    return Report(cfg.scenario, config_echo, run.checks,
-                  all(c.passed for c in run.checks))
+    runner(cfg, run)
+    return Report(cfg.scenario, asdict(cfg), run.checks, all(c.passed for c in run.checks))

@@ -2,10 +2,12 @@
 
 Each test covers one verification criterion at desk scale, pins its
 tolerance explicitly, and emits a single pass/fail line (replayed in the
-terminal summary, see conftest.py).
+terminal summary, see conftest.py).  Criteria 01-05, 07 and 09 run registry
+scenarios at pinned seeds, dimensions and case counts and compare the
+reported check values against the gate's own tolerances, never the
+scenario's verdict, so loosening a scenario's tolerance cannot pass them.
 """
 import json
-import math
 import subprocess
 import sys
 import time
@@ -13,45 +15,11 @@ import time
 from conftest import record_verdict
 
 import numpy as np
-import pytest
 
-from jetstress import fields
-from jetstress.chart import (
-    ChartDomain,
-    FDScheme,
-    QuadratureRule,
-    ScalarField,
-    partial_derivative,
-    stokes_residual,
-    uniform_grid,
-)
 from jetstress.cli import main, report_to_dict, emit_report
-from jetstress.equilibrium import force_from_stress, weak_strong_consistency
-from jetstress.forces import equilibrated_force_residual, translation_generators
-from jetstress.material import (
-    LagrangianDensity,
-    constitutive_from_lagrangian,
-    energy_variation_residual,
-)
-from jetstress.scenarios import (
-    ScenarioConfig,
-    random_lagrangian,
-    random_stress,
-    random_traction,
-    random_velocity,
-    run_scenario,
-)
-from jetstress.sections import Configuration, JetPoint, jet_prolong_velocity
-from jetstress.stress import (
-    divergence,
-    exterior_jet,
-    stress_pairing,
-    traction_extract,
-    virtual_power_of_stress,
-)
-
-SCHEME = FDScheme(1e-3, 4)
-RULE = QuadratureRule(8)
+from jetstress.material import LagrangianDensity, constitutive_from_lagrangian
+from jetstress.scenarios import ScenarioConfig, run_scenario
+from jetstress.sections import JetPoint
 
 
 def verdict(name: str, ok: bool, detail: str) -> None:
@@ -66,15 +34,18 @@ def dims_cycle(count: int):
     return [combos[k % 4] for k in range(count)]
 
 
+def check_values(configs, expected: int) -> list[float]:
+    """Check values of the registry runs, in order.  The count is asserted,
+    so that a dropped check cannot pass vacuously."""
+    values = [c.value for cfg in configs for c in run_scenario(cfg).checks]
+    assert len(values) == expected, f"expected {expected} check values, got {len(values)}"
+    return values
+
+
 def test_criterion_01_stokes_oracle():
     t0 = time.perf_counter()
-    worst = 0.0
-    for d in (1, 2, 3):
-        dom = ChartDomain.unit(d)
-        rng = np.random.default_rng(d)
-        for _ in range(20):
-            omega = [fields.random_polynomial(rng, d, 3) for _ in range(d)]
-            worst = max(worst, stokes_residual(omega, dom, RULE, SCHEME))
+    worst = max(check_values((ScenarioConfig("stokes", seed=d, d=d, count=20)
+                              for d in (1, 2, 3)), 60))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6 and elapsed < 5.0
     verdict("criterion-01 stokes-oracle", ok,
@@ -82,74 +53,35 @@ def test_criterion_01_stokes_oracle():
 
 
 def test_criterion_02_exterior_jet_identity():
-    worst = 0.0
-    for k, (d, m) in enumerate(dims_cycle(20)):
-        dom = ChartDomain.unit(d)
-        rng = np.random.default_rng(100 + k)
-        tau = random_traction(rng, d, m)
-        v = random_velocity(rng, d, m)
-        s = exterior_jet(tau, dom, SCHEME)
-        eta = jet_prolong_velocity(v, dom, SCHEME)
-        omega = [ScalarField(lambda X, a=a: sum(tau.tau[i][a](X) * v.components[i](X)
-                                                for i in range(m))) for a in range(d)]
-        for X in uniform_grid(dom, 17):
-            lhs = sum(partial_derivative(omega[a], a, X, dom, SCHEME) for a in range(d))
-            worst = max(worst, abs(lhs - stress_pairing(s, eta, X)))
+    worst = max(check_values((ScenarioConfig("exterior_jet_identity", seed=100 + k,
+                                             d=d, m=m, count=1)
+                              for k, (d, m) in enumerate(dims_cycle(20))), 20))
     verdict("criterion-02 exterior-jet-identity", worst <= 1e-6,
             f"max pointwise residual {worst:.3e} (tol 1e-06)")
 
 
 def test_criterion_03_divergence_identity():
-    worst = 0.0
-    for k, (d, m) in enumerate(dims_cycle(20)):
-        dom = ChartDomain.unit(d)
-        rng = np.random.default_rng(200 + k)
-        s = random_stress(rng, d, m)
-        v = random_velocity(rng, d, m)
-        div = divergence(s, dom, SCHEME)
-        lifted = exterior_jet(traction_extract(s), dom, SCHEME)
-        eta = jet_prolong_velocity(v, dom, SCHEME)
-        for X in uniform_grid(dom, 17):
-            lhs = float(np.dot(div.value(X), v.value(X)))
-            rhs = stress_pairing(lifted, eta, X) - stress_pairing(s, eta, X)
-            worst = max(worst, abs(lhs - rhs))
+    worst = max(check_values((ScenarioConfig("divergence_identity", seed=200 + k,
+                                             d=d, m=m, count=1)
+                              for k, (d, m) in enumerate(dims_cycle(20))), 20))
     verdict("criterion-03 divergence-identity", worst <= 1e-6,
             f"max pointwise residual {worst:.3e} (tol 1e-06)")
 
 
 def test_criterion_04_weak_strong_equivalence():
-    dom = ChartDomain.unit(2)
-    worst = 0.0
-    for k in range(20):
-        rng = np.random.default_rng(300 + k)
-        s = random_stress(rng, 2, 2)
-        v = random_velocity(rng, 2, 2)
-        worst = max(worst, weak_strong_consistency(s, v, dom, RULE, SCHEME))
+    worst = max(check_values((ScenarioConfig("weak_strong", seed=300 + k, d=2, m=2, count=1)
+                              for k in range(20)), 20))
     verdict("criterion-04 weak-strong-equivalence", worst <= 1e-6,
             f"max residual {worst:.3e} (tol 1e-06)")
 
 
 def test_criterion_05_null_stress_indeterminacy():
-    d, m = 2, 2
-    dom = ChartDomain.unit(d)
-    rng = np.random.default_rng(42)
-    rule = QuadratureRule(8, panels=4)
-    tests = [random_velocity(rng, d, m) for _ in range(10)]
-    grid = uniform_grid(dom, 9)
-    worst_power = 0.0
-    min_magnitude = math.inf
-    for _ in range(10):
-        tau_rows = tuple(tuple(fields.poly_bump_field([(0.25, 0.75)] * d,
-                                                      rng.uniform(0.5, 1.5))
-                               for _ in range(d)) for _ in range(m))
-        from jetstress.stress import TractionStressDensity
-
-        s = exterior_jet(TractionStressDensity(tau_rows), dom, SCHEME)
-        power = max(abs(virtual_power_of_stress(s, v, dom, rule, SCHEME))
-                    for v in tests)
-        worst_power = max(worst_power, power)
-        magnitude = max(abs(g(X)) for row in s.s_mixed for g in row for X in grid)
-        min_magnitude = min(min_magnitude, magnitude)
+    cfg = ScenarioConfig("null_stress", seed=42, d=2, m=2, q=8, panels=4, samples=9, count=10)
+    checks = run_scenario(cfg).checks
+    powers = [c.value for c in checks if c.name.startswith("power_")]
+    magnitudes = [c.value for c in checks if c.name.startswith("magnitude_")]
+    assert (len(powers), len(magnitudes)) == (10, 10)
+    worst_power, min_magnitude = max(powers), min(magnitudes)
     ok = worst_power <= 1e-8 and min_magnitude >= 0.1
     verdict("criterion-05 null-stress-indeterminacy", ok,
             f"max |power| {worst_power:.3e} (tol 1e-08), "
@@ -178,14 +110,8 @@ def test_criterion_06_hyperelastic_vertical_derivative():
 
 
 def test_criterion_07_first_variation_identity():
-    dom = ChartDomain.unit(1)
-    worst = 0.0
-    for k in range(10):
-        rng = np.random.default_rng(700 + k)
-        kappa = Configuration((fields.random_polynomial(rng, 1, 3),), smoothness=99)
-        v = random_velocity(rng, 1, 1)
-        L = random_lagrangian(rng, 1, 1)
-        worst = max(worst, energy_variation_residual(kappa, v, L, dom, RULE, SCHEME))
+    worst = max(check_values((ScenarioConfig("energy_variation", seed=700 + k, d=1, m=1, count=1)
+                              for k in range(10)), 10))
     verdict("criterion-07 first-variation-identity", worst <= 1e-6,
             f"max residual {worst:.3e} (tol 1e-06) over 10 triples")
 
@@ -201,14 +127,9 @@ def test_criterion_08_manufactured_bar_bvp():
 
 
 def test_criterion_09_equilibrated_translations():
-    dom = ChartDomain.unit(2)
-    worst = 0.0
-    for seed in range(3):
-        rng = np.random.default_rng(900 + seed)
-        s = random_stress(rng, 2, 2, with_lower=False)
-        f = force_from_stress(s, dom, SCHEME)
-        res = equilibrated_force_residual(f, translation_generators(dom, 2), dom, RULE)
-        worst = max(worst, max(res.values()))
+    worst = max(check_values((ScenarioConfig("equilibrated_translations", seed=900 + seed,
+                                             d=2, m=2)
+                              for seed in range(3)), 6))
     verdict("criterion-09 equilibrated-translations", worst <= 1e-8,
             f"max translation power {worst:.3e} (tol 1e-08)")
 

@@ -16,6 +16,7 @@ from jetstress.cli import (
     report_to_dict,
 )
 from jetstress.scenarios import (
+    REGISTRY,
     Check,
     ConfigError,
     Report,
@@ -23,6 +24,30 @@ from jetstress.scenarios import (
     UnknownScenarioError,
     run_scenario,
 )
+
+# smallest configs that still reach each scenario's layers
+TINY = {
+    "stokes": {"d": 1, "count": 2},
+    "exterior_jet_identity": {"d": 1, "m": 1, "count": 2, "samples": 3},
+    "divergence_identity": {"d": 1, "m": 1, "count": 2, "samples": 3},
+    "weak_strong": {"d": 1, "m": 1, "count": 2},
+    "null_stress": {"d": 1, "m": 1, "count": 1, "samples": 3},
+    "hyperelastic_1d_bar": {"samples": 3},
+    "energy_variation": {"count": 2},
+    "equilibrated_translations": {"d": 1, "m": 1},
+    "maxwell_vacuum": {"samples": 3},
+    "pform_leibniz": {"q": 2, "samples": 3},
+}
+
+
+def write_config(tmp_path, values: dict) -> str:
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    return str(path)
+
+
+def reject_constant(token: str):
+    raise ValueError(f"non-finite number {token} in report")
 
 
 def strip_seconds(payload: dict) -> dict:
@@ -66,6 +91,9 @@ class TestConfig:
         {"fd_step": 0.25},
         {"fd_step": 0.0},
         {"fd_step": 0.5, "fd_order": 2},
+        {"seed": -1},
+        {"d": 0},
+        {"m": 0},
     ], ids=repr)
     def test_bad_config_rejected(self, values):
         with pytest.raises(ConfigError):
@@ -129,6 +157,30 @@ class TestScenarioRunner:
         assert r.config["seed"] == 2
         assert r.config["q"] == 6
         assert r.scenario == "stokes"
+
+    def test_echo_is_effective_config(self):
+        r = run_scenario(ScenarioConfig("divergence_identity", count=1, samples=3))
+        echoed = {k: r.config[k] for k in ("d", "m", "count", "samples")}
+        assert echoed == {"d": 2, "m": 2, "count": 1, "samples": 3}
+
+    def test_maxwell_runs_requested_samples(self, monkeypatch):
+        import jetstress.forms as forms_mod
+
+        seen = []
+
+        def check(*args):
+            seen.append(args[-1])
+            return 0.0, 0.0
+
+        def norm(a, dom, samples):
+            seen.append(samples)
+            return 0.0
+
+        monkeypatch.setattr(forms_mod, "maxwell_vacuum_check", check)
+        monkeypatch.setattr(forms_mod, "form_sup_norm", norm)
+        r = run_scenario(ScenarioConfig("maxwell_vacuum", samples=17))
+        assert seen == [17, 17, 17]
+        assert r.config["samples"] == 17
 
     def test_tolerance_override_fails_run(self):
         r = run_scenario(ScenarioConfig("stokes", tolerances={"default": 1e-300}))
@@ -198,6 +250,19 @@ class TestMain:
         path.write_text("scenario = weak_strong\nfd_step = 0.3\n")
         assert main(["--config", str(path)]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    def test_unsupported_dimension_is_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"scenario": "pform_leibniz", "d": 2})
+        assert main(["--config", path]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario", sorted(REGISTRY))
+    def test_every_scenario_reports_strict_json(self, scenario, tmp_path, capsys):
+        path = write_config(tmp_path, {"scenario": scenario, **TINY[scenario]})
+        assert main(["--config", path, "--seed", "3"]) in (EXIT_PASS, EXIT_FAIL)
+        report = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+        assert report["checks"]
+        assert {k: report["config"][k] for k in TINY[scenario]} == TINY[scenario]
 
     def test_internal_error_exit_code(self, monkeypatch, capsys):
         import jetstress.cli as cli_mod
