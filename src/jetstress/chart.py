@@ -4,22 +4,22 @@ Everything downstream (stress identities, equilibrium, the boundary-value
 residuals) integrates by parts at some point; the Stokes residual computed
 here is the oracle those identities are checked against.
 
-Axes are 0-based.  A field is any callable taking a length-d coordinate
-array and returning a float.  This module is the one place that walks a
-point set (`sup_norm` over a probe lattice, the quadrature sum) or builds a
-gradient block (`gradient`); the identity modules compose these.
+Axes are 0-based.  A field is any callable taking a coordinate array X of
+shape (..., d) and returning the values of shape (...): one call evaluates a
+whole node set or probe lattice.  `pointwise` lifts a callable written for a
+single point.  This module is the one place that walks a point set
+(`sup_norm` over a probe lattice, the quadrature sum) or builds a gradient
+block (`gradient`); the identity modules compose these.
 """
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-Evaluator = Callable[[np.ndarray], float]
+Evaluator = Callable[[np.ndarray], np.ndarray]
 
 BOUNDARY = "boundary"
 PERIODIC = "periodic"
@@ -97,13 +97,36 @@ class ChartDomain:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Deterministic coefficient field over the chart, tagged with smoothness C^k."""
+    """Deterministic coefficient field over the chart, tagged with smoothness C^k.
+
+    Called on one point (d,) it returns a float; on a point set (N, d) an (N,)
+    array.  A constant result broadcasts; any other shape is an error.
+    """
 
     func: Evaluator
     smoothness: int = 2
 
-    def __call__(self, X) -> float:
-        return float(self.func(np.asarray(X, dtype=float)))
+    def __call__(self, X):
+        X = np.asarray(X, dtype=float)
+        out = np.asarray(self.func(X), dtype=float)
+        if out.shape != X.shape[:-1]:
+            if out.ndim:
+                raise ValueError(f"field returned shape {out.shape} for points of shape {X.shape}")
+            out = np.full(X.shape[:-1], out)
+        return float(out) if X.ndim == 1 else out
+
+
+def pointwise(g: Callable[..., float]) -> Callable[..., np.ndarray]:
+    """Lift a one-point callable g(X, *more) to point sets: for X of shape
+    (N, d) it calls g once per row, with the matching rows of `more`."""
+
+    def lifted(X, *more):
+        X = np.asarray(X, dtype=float)
+        if X.ndim == 1:
+            return g(X, *more)
+        return np.array([g(*row) for row in zip(X, *more)], dtype=float)
+
+    return lifted
 
 
 @dataclass(frozen=True)
@@ -131,16 +154,15 @@ def _fd_weights(offsets: tuple[int, ...]) -> np.ndarray:
     return np.linalg.solve(A, rhs)
 
 
-def _stencil_offsets(p_a: float, lo: float, hi: float, h: float, order: int) -> tuple[int, ...]:
-    r = order // 2
-    offsets = np.arange(-r, r + 1)
-    # shift the stencil until all probe points lie inside [lo, hi]
-    shift = 0
-    while p_a + (offsets[0] + shift) * h < lo - 1e-14:
-        shift += 1
-    while p_a + (offsets[-1] + shift) * h > hi + 1e-14:
-        shift -= 1
-    return tuple(int(o + shift) for o in offsets)
+def _stencil_shifts(x: np.ndarray, lo: float, hi: float, h: float, r: int) -> np.ndarray:
+    """Per row, how far the centred stencil -r..r must shift so that every
+    probe point lies inside [lo, hi]."""
+    shift = np.zeros(len(x), dtype=int)
+    while (low := x + (shift - r) * h < lo - 1e-14).any():
+        shift += low
+    while (high := x + (shift + r) * h > hi + 1e-14).any():
+        shift -= high
+    return shift
 
 
 def partial_derivative(
@@ -149,11 +171,13 @@ def partial_derivative(
     p,
     dom: ChartDomain,
     scheme: FDScheme = FDScheme(),
-) -> float:
-    """Finite-difference estimate of the base derivative of f along `axis` at p.
+):
+    """Finite-difference estimate of the base derivative of f along `axis` at
+    p: a float for one point (d,), an array of shape (...) for points (..., d).
 
     Wraps coordinates on periodic axes; uses one-sided stencils of the same
-    order within stencil reach of a boundary face.
+    order within stencil reach of a boundary face.  Rows that share a stencil
+    are evaluated together, one call of f per stencil offset.
     """
     d = dom.dim
     if not 0 <= axis < d:
@@ -163,34 +187,36 @@ def partial_derivative(
     if h * scheme.order >= hi - lo:
         raise ValueError("FD step too large for axis extent")
     p = np.asarray(p, dtype=float)
+    P = p.reshape(-1, d)
+    r = scheme.order // 2
+    periodic = dom.is_periodic(axis)
+    shifts = np.zeros(len(P), dtype=int) if periodic else _stencil_shifts(P[:, axis], lo, hi, h, r)
 
-    if dom.is_periodic(axis):
-        r = scheme.order // 2
-        offsets = tuple(range(-r, r + 1))
-        length = hi - lo
-
-        def probe(o: int) -> float:
-            X = p.copy()
-            X[axis] = lo + (X[axis] + o * h - lo) % length
-            return float(f(X))
-
-    else:
-        offsets = _stencil_offsets(p[axis], lo, hi, h, scheme.order)
-
-        def probe(o: int) -> float:
-            X = p.copy()
-            X[axis] = min(max(X[axis] + o * h, lo), hi)
-            return float(f(X))
-
-    w = _fd_weights(offsets)
-    return float(sum(wj * probe(o) for wj, o in zip(w, offsets)) / h)
+    out = np.empty(len(P))
+    for shift in range(-r, r + 1):
+        rows = shifts == shift
+        if not rows.any():
+            continue
+        base = P[rows]
+        offsets = tuple(range(shift - r, shift + r + 1))
+        total = 0
+        for wj, o in zip(_fd_weights(offsets), offsets):
+            X = base.copy()
+            if periodic:
+                X[:, axis] = lo + (X[:, axis] + o * h - lo) % (hi - lo)
+            else:
+                X[:, axis] = np.minimum(np.maximum(X[:, axis] + o * h, lo), hi)
+            total = total + wj * f(X)
+        out[rows] = total / h
+    return float(out[0]) if p.ndim == 1 else out.reshape(p.shape[:-1])
 
 
 def gradient(fs: Sequence[Evaluator], X, dom: ChartDomain,
              scheme: FDScheme = FDScheme()) -> np.ndarray:
-    """(m, d) block of base derivatives: entry [i, a] differentiates fs[i] along axis a at X."""
-    return np.array([[partial_derivative(f, a, X, dom, scheme) for a in range(dom.dim)]
-                     for f in fs])
+    """(..., m, d) block of base derivatives: entry [..., i, a] differentiates
+    fs[i] along axis a at X."""
+    return np.stack([np.stack([partial_derivative(f, a, X, dom, scheme) for a in range(dom.dim)],
+                              axis=-1) for f in fs], axis=-2)
 
 
 @dataclass(frozen=True)
@@ -216,13 +242,14 @@ class QuadratureRule:
         return np.concatenate(xs), np.concatenate(ws)
 
 
+def _lattice(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """(N, d) tensor lattice of the per-axis coordinates, last axis fastest."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
 def _tensor_nodes(axes: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    pts = []
-    wts = []
-    for combo in itertools.product(*[range(len(x)) for x, _ in axes]):
-        pts.append([axes[a][0][i] for a, i in enumerate(combo)])
-        wts.append(math.prod(axes[a][1][i] for a, i in enumerate(combo)))
-    return np.asarray(pts, dtype=float), np.asarray(wts, dtype=float)
+    xs, ws = zip(*axes)
+    return _lattice(xs), _lattice(ws).prod(axis=1)
 
 
 def _pinned(dom: ChartDomain, face: BoundaryFace) -> float:
@@ -237,8 +264,7 @@ def volume_nodes(dom: ChartDomain, rule: QuadratureRule) -> tuple[np.ndarray, np
 
 def _weighted_sum(coeff: Evaluator, nodes: tuple[np.ndarray, np.ndarray]) -> float:
     pts, wts = nodes
-    vals = np.fromiter((float(coeff(x)) for x in pts), dtype=float, count=len(pts))
-    return float(np.dot(wts, vals))
+    return float(np.dot(wts, np.broadcast_to(coeff(pts), wts.shape)))
 
 
 def integrate_volume(coeff: Evaluator, dom: ChartDomain, rule: QuadratureRule = QuadratureRule()) -> float:
@@ -281,7 +307,7 @@ def stokes_residual(
     if len(omega) != dom.dim:
         raise ValueError("need one component per axis")
 
-    def div_coeff(X: np.ndarray) -> float:
+    def div_coeff(X: np.ndarray) -> np.ndarray:
         return sum(partial_derivative(omega[a], a, X, dom, scheme) for a in range(dom.dim))
 
     lhs = integrate_volume(div_coeff, dom, rule)
@@ -298,7 +324,7 @@ def _grid_axes(dom: ChartDomain, samples: int, margin: float = 0.0) -> list[np.n
 def uniform_grid(dom: ChartDomain, samples: int = 17, margin: float = 0.0) -> np.ndarray:
     """Uniform probe lattice, `samples` points per axis; `margin` clips off
     the boundary on non-periodic axes, periodic axes drop the duplicate endpoint."""
-    return np.asarray(list(itertools.product(*_grid_axes(dom, samples, margin))), dtype=float)
+    return _lattice(_grid_axes(dom, samples, margin))
 
 
 def face_grid(dom: ChartDomain, face: BoundaryFace, samples: int = 17) -> np.ndarray:
@@ -306,14 +332,15 @@ def face_grid(dom: ChartDomain, face: BoundaryFace, samples: int = 17) -> np.nda
     with the face axis pinned."""
     axes = _grid_axes(dom, samples)
     axes[face.axis] = np.array([_pinned(dom, face)])
-    return np.asarray(list(itertools.product(*axes)), dtype=float)
+    return _lattice(axes)
 
 
 def sup_norm(f: Callable[[np.ndarray], object], points: np.ndarray) -> float:
-    """Largest |entry| of a scalar- or array-valued f over the points.
+    """Largest |entry| of a scalar- or array-valued f, evaluated once on the
+    whole (N, d) point set.  A NaN anywhere in the values is the result.
 
     An empty point set raises, so that no sup-norm check passes vacuously.
     """
     if len(points) == 0:
         raise ValueError("sup norm over an empty point set")
-    return max(float(np.max(np.abs(f(X)))) for X in points)
+    return float(np.max(np.abs(f(points))))

@@ -6,12 +6,14 @@ override file values.  Exit codes: 0 all checks pass, 1 a check failed,
 
 JSON reports use a stable schema (keys: scenario, config, checks[], pass);
 floats are written as their shortest round-trip repr, so parsing reproduces
-every numeric field exactly.
+every numeric field exactly.  A non-finite check value (which always fails)
+is written as null, so the report stays strict JSON.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields as dc_fields
 from typing import Any
@@ -81,7 +83,8 @@ def report_to_dict(report: Report) -> dict[str, Any]:
         "scenario": report.scenario,
         "config": report.config,
         "checks": [
-            {"name": c.name, "value": c.value, "tolerance": c.tolerance,
+            {"name": c.name, "value": c.value if math.isfinite(c.value) else None,
+             "tolerance": c.tolerance,
              "comparator": c.comparator, "pass": c.passed, "seconds": c.seconds}
             for c in report.checks
         ],

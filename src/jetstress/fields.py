@@ -16,23 +16,24 @@ from .chart import ScalarField
 
 def constant_field(c: float) -> ScalarField:
     c = float(c)
-    return ScalarField(lambda X: c, smoothness=99)
+    return ScalarField(lambda X: np.full(np.shape(X)[:-1], c), smoothness=99)
 
 
 def coordinate_field(axis: int) -> ScalarField:
-    return ScalarField(lambda X: float(X[axis]), smoothness=99)
+    return ScalarField(lambda X: X[..., axis], smoothness=99)
 
 
 def polynomial_field(coeffs) -> ScalarField:
     """Multivariate polynomial; coeffs[i0, ..., i_{d-1}] multiplies
-    X0^i0 * ... * X_{d-1}^i_{d-1}."""
+    X0^i0 * ... * X_{d-1}^i_{d-1}.  Horner along axis 0 for every point at
+    once, then along each further axis point by point."""
     coeffs = np.asarray(coeffs, dtype=float)
 
-    def ev(X: np.ndarray) -> float:
-        v = coeffs
-        for xk in X:
-            v = P.polyval(xk, v)
-        return float(v)
+    def ev(X: np.ndarray) -> np.ndarray:
+        v = P.polyval(X[..., 0], coeffs, tensor=True)
+        for k in range(1, X.shape[-1]):
+            v = P.polyval(X[..., k], v, tensor=False)
+        return v
 
     return ScalarField(ev, smoothness=99)
 
@@ -50,8 +51,8 @@ def sine_field(modes: Sequence[tuple[float, Sequence[int], float]]) -> ScalarFie
     """
     modes = [(float(a), np.asarray(k, dtype=float), float(p)) for a, k, p in modes]
 
-    def ev(X: np.ndarray) -> float:
-        return float(sum(a * math.sin(2.0 * math.pi * np.dot(k, X) + p) for a, k, p in modes))
+    def ev(X: np.ndarray) -> np.ndarray:
+        return sum(a * np.sin(2.0 * math.pi * (X @ k) + p) for a, k, p in modes)
 
     return ScalarField(ev, smoothness=99)
 
@@ -80,15 +81,15 @@ def poly_bump_field(support: Sequence[Sequence[float]], amplitude: float = 1.0,
     support = [(float(a), float(b)) for a, b in support]
     amplitude = float(amplitude)
 
-    def ev(X: np.ndarray) -> float:
-        v = amplitude
-        for t, (a, b) in zip(X, support):
-            t = float(t)
-            if t <= a or t >= b:
-                return 0.0
+    def ev(X: np.ndarray) -> np.ndarray:
+        v = np.full(X.shape[:-1], amplitude)
+        outside = np.zeros(X.shape[:-1], dtype=bool)
+        for k, (a, b) in enumerate(support):
+            t = X[..., k]
+            outside |= (t <= a) | (t >= b)
             half = 0.5 * (b - a)
-            v *= ((t - a) * (b - t) / (half * half)) ** power
-        return v
+            v = v * ((t - a) * (b - t) / (half * half)) ** power
+        return np.where(outside, 0.0, v)
 
     return ScalarField(ev, smoothness=power - 1)
 

@@ -33,7 +33,7 @@ class BodyForceDensity:
         return len(self.components)
 
     def value(self, X) -> np.ndarray:
-        return np.array([f(X) for f in self.components])
+        return np.stack([f(X) for f in self.components], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -74,15 +74,15 @@ def virtual_power_of_force(f: ForceFunctional, v: VelocityField, dom: ChartDomai
     """f(v) = volume integral of b_i v^i plus the face integrals of t_i v^i."""
     m = f.fiber_dim
 
-    def body_coeff(X: np.ndarray) -> float:
-        return float(np.dot(f.body.value(X), v.value(X)))
+    def body_coeff(X: np.ndarray) -> np.ndarray:
+        return np.sum(f.body.value(X) * v.value(X), axis=-1)
 
     total = integrate_volume(body_coeff, dom, rule)
     for face in dom.faces():
         t = f.surface.on_face(face, m)
 
-        def face_coeff(X: np.ndarray, t=t) -> float:
-            return float(sum(ti(X) * vi(X) for ti, vi in zip(t, v.components)))
+        def face_coeff(X: np.ndarray, t=t) -> np.ndarray:
+            return sum(ti(X) * vi(X) for ti, vi in zip(t, v.components))
 
         total += integrate_face(face_coeff, face, dom, rule)
     return total

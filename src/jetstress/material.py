@@ -4,7 +4,9 @@ the strong-form boundary-value residual.
 Vertical (fiber and jet) derivatives are central differences with a step
 scaled relative to the coordinate magnitude; the pullback along a
 configuration jet turns jet-coordinate fields into base fields, after which
-all base differentiation is total.
+all base differentiation is total.  Jet-coordinate callables (`JetEval`,
+`FiberEval`) take one point; the configuration and its jet are evaluated on
+the whole point set and `chart.pointwise` feeds them row by row.
 
 Sign convention for the field equation: the invariant form div(s) + b = 0 is
 adopted, so the interior residual is  d_a(psi_i^a along j1 kappa) - psi_i + B_i.
@@ -25,11 +27,12 @@ from .chart import (
     face_grid,
     integrate_face,
     integrate_volume,
+    pointwise,
     sup_norm,
     uniform_grid,
 )
 from .forces import BodyForceDensity
-from .sections import Configuration, JetPoint, VelocityField, jet_prolong_config
+from .sections import Configuration, JetPoint, JetSection, VelocityField, jet_prolong_config
 from .stress import VariationalStressDensity, divergence, virtual_power_of_stress
 
 JetEval = Callable[[JetPoint], float]
@@ -113,23 +116,28 @@ def _central(g: Callable[[np.ndarray], float], base: np.ndarray,
     return (g(up) - g(down)) / (2 * h)
 
 
+def _along_jet(g: JetEval, jet: JetSection) -> Callable[[np.ndarray], np.ndarray]:
+    """Base field X -> g(jet at X): the jet is evaluated on the whole point
+    set, g at one jet point at a time."""
+    at = pointwise(lambda X, x, xp: g(JetPoint(X, x, xp)))
+    return lambda X: at(X, *jet(X))
+
+
+def _along_config(g: FiberEval, kappa: Configuration) -> Callable[[np.ndarray], np.ndarray]:
+    """Base field X -> g(X, kappa(X)), g at one point at a time."""
+    at = pointwise(g)
+    return lambda X: at(X, kappa.value(X))
+
+
 def pullback_constitutive(psi: ConstitutiveDensity, kappa: Configuration,
                           dom: ChartDomain,
                           scheme: FDScheme = FDScheme()) -> VariationalStressDensity:
     """Compose the constitutive components with the jet of the configuration,
     producing stress component fields over the base."""
     jet = jet_prolong_config(kappa, dom, scheme)
-
-    def lower(i: int) -> ScalarField:
-        return ScalarField(lambda X, i=i: psi.psi_lower[i](jet.at(X)))
-
-    def mixed(i: int, a: int) -> ScalarField:
-        return ScalarField(lambda X, i=i, a=a: psi.psi_mixed[i][a](jet.at(X)))
-
     return VariationalStressDensity(
-        tuple(lower(i) for i in range(psi.fiber_dim)),
-        tuple(tuple(mixed(i, a) for a in range(psi.base_dim))
-              for i in range(psi.fiber_dim)),
+        tuple(ScalarField(_along_jet(g, jet)) for g in psi.psi_lower),
+        tuple(tuple(ScalarField(_along_jet(g, jet)) for g in row) for row in psi.psi_mixed),
     )
 
 
@@ -165,8 +173,7 @@ def loading_from_potential(w: PotentialDensities, fiber_dim: int,
 
 
 def pullback_body_loading(B: BodyLoadingDensity, kappa: Configuration) -> BodyForceDensity:
-    return BodyForceDensity(tuple(
-        ScalarField(lambda X, g=g: g(X, kappa.value(X))) for g in B.components))
+    return BodyForceDensity(tuple(ScalarField(_along_config(g, kappa)) for g in B.components))
 
 
 def total_energy(kappa: Configuration, L: LagrangianDensity | None,
@@ -177,11 +184,11 @@ def total_energy(kappa: Configuration, L: LagrangianDensity | None,
     total = 0.0
     if L is not None:
         jet = jet_prolong_config(kappa, dom, scheme)
-        total += integrate_volume(lambda X: L(jet.at(X)), dom, rule)
+        total += integrate_volume(_along_jet(L, jet), dom, rule)
     if w is not None:
-        total += integrate_volume(lambda X: w.body(X, kappa.value(X)), dom, rule)
+        total += integrate_volume(_along_config(w.body, kappa), dom, rule)
         for face, g in w.surface.items():
-            total += integrate_face(lambda X: g(X, kappa.value(X)), face, dom, rule)
+            total += integrate_face(_along_config(g, kappa), face, dom, rule)
     return total
 
 
@@ -222,17 +229,19 @@ def bvp_residual(kappa: Configuration, psi: ConstitutiveDensity,
     s = pullback_constitutive(psi, kappa, dom, scheme)
     div = divergence(s, dom, scheme)
 
+    loads = [pointwise(B) for B in body_loading.components]
+
     def interior_residual(X: np.ndarray) -> np.ndarray:
         kx = kappa.value(X)
-        return div.value(X) + np.array([B(X, kx) for B in body_loading.components])
+        return div.value(X) + np.stack([B(X, kx) for B in loads], axis=-1)
 
     interior = sup_norm(interior_residual, uniform_grid(dom, samples))
 
     boundary = 0.0
     for face in dom.faces():
-        ts = surface_loading.on_face(face, s.fiber_dim)
+        ts = [pointwise(T) for T in surface_loading.on_face(face, s.fiber_dim)]
 
-        def boundary_residual(X: np.ndarray) -> list[float]:
+        def boundary_residual(X: np.ndarray) -> list[np.ndarray]:
             kx = kappa.value(X)
             return [face.induced_sign * row[face.axis](X) - T(X, kx)
                     for row, T in zip(s.s_mixed, ts)]

@@ -5,7 +5,9 @@ polynomials with seeded coefficients in [-1, 1], sine modes on periodic
 axes, compact bumps) so that identical (config, seed) pairs give identical
 residuals.  A scenario's defaults and allowed dimensions live in its
 `REGISTRY` row; `run_scenario` fills every key the config leaves unset from
-that row, so the echoed config is the one that ran.
+that row and rejects a key the row does not name, and a scenario that runs
+other quadrature settings than it was given records them, so the echoed
+config is the one that ran.
 """
 from __future__ import annotations
 
@@ -80,7 +82,8 @@ class ScenarioConfig:
 
 
 class _Runner:
-    """Accumulates checks and resolves tolerance overrides."""
+    """Accumulates checks, resolves tolerance overrides and holds the
+    effective config."""
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
@@ -92,10 +95,16 @@ class _Runner:
             return self.cfg.tolerances[name]
         return self.cfg.tolerances.get("default", default)
 
+    def ran(self, **changes) -> ScenarioConfig:
+        """Record config values the scenario adjusted; return the effective config."""
+        self.cfg = replace(self.cfg, **changes)
+        return self.cfg
+
     def add(self, name: str, value: float, default_tol: float, comparator: str = "le") -> None:
         t1 = time.perf_counter()
         tol = self.tol(name, default_tol)
-        ok = value <= tol if comparator == "le" else value >= tol
+        # a non-finite value fails whatever the comparator
+        ok = math.isfinite(value) and (value <= tol if comparator == "le" else value >= tol)
         self.checks.append(Check(name, float(value), float(tol), comparator, bool(ok), t1 - self._t0))
         self._t0 = t1
 
@@ -174,7 +183,7 @@ def _scenario_divergence(cfg: ScenarioConfig, run: _Runner) -> None:
         lifted = stress.exterior_jet(stress.traction_extract(s), dom, scheme)
         eta = jet_prolong_velocity(v, dom, scheme)
         worst = sup_norm(
-            lambda X: float(np.dot(div.value(X), v.value(X)))
+            lambda X: np.sum(div.value(X) * v.value(X), axis=-1)
             - (stress.stress_pairing(lifted, eta, X) - stress.stress_pairing(s, eta, X)), grid)
         run.add(f"pair_{k:02d}", worst, 1e-6)
 
@@ -192,13 +201,13 @@ def _scenario_weak_strong(cfg: ScenarioConfig, run: _Runner) -> None:
 
 
 def _scenario_null_stress(cfg: ScenarioConfig, run: _Runner) -> None:
+    # polynomial bumps with support edges on panel boundaries keep the
+    # quadrature exact up to FD noise; panels must stay a multiple of 4
+    cfg = run.ran(q=max(cfg.q, 8), panels=4 * -(-cfg.panels // 4))
     d, m = cfg.d, cfg.m
     dom = ChartDomain.unit(d)
     rng = _rng(cfg)
-    scheme = _scheme(cfg)
-    # polynomial bumps with support edges on panel boundaries keep the
-    # quadrature exact up to FD noise; panels must stay a multiple of 4
-    rule = QuadratureRule(max(cfg.q, 8), 4 * max(1, -(-cfg.panels // 4)))
+    rule, scheme = _rule(cfg), _scheme(cfg)
     tests = [random_velocity(rng, d, m) for _ in range(10)]
     grid = uniform_grid(dom, cfg.samples)
     for k in range(cfg.count):
@@ -234,12 +243,12 @@ def _scenario_bar(cfg: ScenarioConfig, run: _Runner) -> None:
     dom, L, body, surf = _bar_setup()
     scheme = _scheme(cfg)
     psi = material.constitutive_from_lagrangian(L, 1, 1)
-    kappa = Configuration((ScalarField(lambda X: 0.5 * float(X[0]) ** 2),), smoothness=2)
+    kappa = Configuration((ScalarField(lambda X: 0.5 * X[..., 0] ** 2),), smoothness=2)
     interior, boundary = material.bvp_residual(kappa, psi, body, surf, dom, scheme, cfg.samples)
     run.add("interior", interior, 1e-6)
     run.add("boundary", boundary, 1e-6)
     bent = Configuration(
-        (ScalarField(lambda X: 0.5 * float(X[0]) ** 2 + 1e-2 * math.sin(math.pi * float(X[0]))),),
+        (ScalarField(lambda X: 0.5 * X[..., 0] ** 2 + 1e-2 * np.sin(math.pi * X[..., 0])),),
         smoothness=2)
     perturbed, _ = material.bvp_residual(bent, psi, body, surf, dom, scheme, cfg.samples)
     run.add("sensitivity", perturbed, 5e-3, comparator="ge")
@@ -294,7 +303,7 @@ def plane_wave_potential(k: np.ndarray, eps: np.ndarray) -> forms.PForm:
         if eps[mu] == 0.0:
             continue
         comps[(mu,)] = ScalarField(
-            lambda X, a=float(eps[mu]): a * math.cos(2.0 * math.pi * float(np.dot(k, X))))
+            lambda X, a=float(eps[mu]): a * np.cos(2.0 * math.pi * (X @ k)))
     return forms.PForm(1, 4, comps)
 
 
@@ -323,6 +332,7 @@ def _scenario_maxwell(cfg: ScenarioConfig, run: _Runner) -> None:
 
 
 def _scenario_pform_leibniz(cfg: ScenarioConfig, run: _Runner) -> None:
+    cfg = run.ran(panels=max(cfg.panels, 2))
     d = cfg.d
     dom = ChartDomain.unit(d)
     rng = _rng(cfg)
@@ -353,11 +363,13 @@ def _scenario_pform_leibniz(cfg: ScenarioConfig, run: _Runner) -> None:
                      for idx in forms.zero_form(d - p - 1, d).indices()})
     v = forms.PForm(p, d, {(i,): fields.random_sine_field(rng, d, n_modes=1)
                            for i in range(d)})
-    power = forms.pform_virtual_power(g, v, None, per, QuadratureRule(cfg.q, max(cfg.panels, 2)), scheme)
+    power = forms.pform_virtual_power(g, v, None, per, _rule(cfg), scheme)
     run.add("closed_box_power", abs(power), 1e-6)
 
 
-# id -> (runner, defaults of the config keys it reads, allowed d or None for any)
+# id -> (runner, defaults of the config keys it reads, allowed d or None for any);
+# each of _ROW_KEYS a scenario reads has a default in its row
+_ROW_KEYS = ("d", "m", "count", "samples")
 REGISTRY: dict[str, tuple[Callable[[ScenarioConfig, _Runner], None], dict, set | None]] = {
     "stokes": (_scenario_stokes, {"d": 2, "count": 20}, {1, 2, 3}),
     "exterior_jet_identity": (_scenario_exterior_jet,
@@ -379,9 +391,14 @@ def run_scenario(cfg: ScenarioConfig) -> Report:
         raise UnknownScenarioError(
             f"unknown scenario {cfg.scenario!r}; known: {', '.join(sorted(REGISTRY))}")
     runner, defaults, allowed_d = REGISTRY[cfg.scenario]
+    unread = [k for k in _ROW_KEYS if getattr(cfg, k) is not None and k not in defaults]
+    if unread:
+        raise ConfigError(f"{cfg.scenario} does not read {', '.join(unread)}")
     cfg = replace(cfg, **{k: v for k, v in defaults.items() if getattr(cfg, k) is None})
     if allowed_d is not None and cfg.d not in allowed_d:
         raise ConfigError(f"{cfg.scenario} supports d in {sorted(allowed_d)}, got {cfg.d}")
     run = _Runner(cfg)
     runner(cfg, run)
-    return Report(cfg.scenario, asdict(cfg), run.checks, all(c.passed for c in run.checks))
+    # a report without checks verifies nothing, so it does not pass
+    passed = bool(run.checks) and all(c.passed for c in run.checks)
+    return Report(cfg.scenario, asdict(run.cfg), run.checks, passed)

@@ -2,7 +2,8 @@
 
 Fibers are represented linearly: a configuration is m scalar component
 fields over the chart, and a first jet carries the value block x together
-with the gradient block xprime of shape (m, d).  Deformation jets need not
+with the gradient block xprime of shape (m, d); on a point set (N, d) both
+carry a leading point axis, (N, m) and (N, m, d).  Deformation jets need not
 be holonomic; the gradient block is stored, not recomputed.
 """
 from __future__ import annotations
@@ -43,7 +44,7 @@ class Configuration:
         return len(self.components)
 
     def value(self, X) -> np.ndarray:
-        return np.array([f(X) for f in self.components])
+        return np.stack([f(X) for f in self.components], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,7 @@ class VelocityField:
         return len(self.components)
 
     def value(self, X) -> np.ndarray:
-        return np.array([f(X) for f in self.components])
+        return np.stack([f(X) for f in self.components], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -129,6 +130,6 @@ def holonomy_residual(xi: JetSection, dom: ChartDomain,
                       scheme: FDScheme = FDScheme(), samples: int = 17) -> float:
     """Sup over a probe grid of the mismatch between the stored gradient block
     and the finite-difference gradient of the value block."""
-    comps = [ScalarField(lambda X, i=i: xi(X)[0][i]) for i in range(xi.fiber_dim)]
+    comps = [ScalarField(lambda X, i=i: xi(X)[0][..., i]) for i in range(xi.fiber_dim)]
     return sup_norm(lambda X: xi(X)[1] - gradient(comps, X, dom, scheme),
                     uniform_grid(dom, samples))

@@ -59,19 +59,20 @@ class TractionStressDensity:
         return len(self.tau[0])
 
 
-def stress_pairing(s: VariationalStressDensity, eta: VelocityJet, X) -> float:
-    """Density coefficient s_i * xdot^i + s_i^a * xdot'^i_a at one point."""
+def stress_pairing(s: VariationalStressDensity, eta: VelocityJet, X):
+    """Density coefficient s_i * xdot^i + s_i^a * xdot'^i_a at one point (a
+    float) or at each point of a set (an array)."""
     if s.fiber_dim != eta.fiber_dim:
         raise ValueError("fiber dimensions differ")
     xd, xdp = eta(X)
-    if xdp.shape != (s.fiber_dim, s.base_dim):
+    if xdp.shape[-2:] != (s.fiber_dim, s.base_dim):
         raise ValueError("gradient block shape mismatch")
     total = 0.0
     for i in range(s.fiber_dim):
-        total += s.s_lower[i](X) * xd[i]
+        total += s.s_lower[i](X) * xd[..., i]
         for a in range(s.base_dim):
-            total += s.s_mixed[i][a](X) * xdp[i, a]
-    return float(total)
+            total += s.s_mixed[i][a](X) * xdp[..., i, a]
+    return total
 
 
 def virtual_power_of_stress(s: VariationalStressDensity, v: VelocityField,

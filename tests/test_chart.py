@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 from jetstress import fields
 from jetstress.chart import (
@@ -10,13 +12,17 @@ from jetstress.chart import (
     FDScheme,
     QuadratureRule,
     ScalarField,
+    face_grid,
+    face_nodes,
     gradient,
     integrate_boundary,
     integrate_volume,
     partial_derivative,
+    pointwise,
     stokes_residual,
     sup_norm,
     uniform_grid,
+    volume_nodes,
 )
 
 UNIT2 = ChartDomain.unit(2)
@@ -49,24 +55,24 @@ class TestPartialDerivative:
     def test_periodic_sine(self):
         # analytic derivative of sin(2 pi X) at 0.25 is 2 pi cos(pi/2) = 0
         dom = ChartDomain.unit(1, periodic=[0])
-        f = ScalarField(lambda X: math.sin(2 * math.pi * X[0]))
+        f = ScalarField(lambda X: np.sin(2 * math.pi * X[..., 0]))
         got = partial_derivative(f, 0, [0.25], dom, FDScheme(1e-2, 4))
         assert got == pytest.approx(0.0, abs=1e-8)
 
     def test_periodic_wraps_across_edge(self):
         dom = ChartDomain.unit(1, periodic=[0])
-        f = ScalarField(lambda X: math.sin(2 * math.pi * X[0]))
+        f = ScalarField(lambda X: np.sin(2 * math.pi * X[..., 0]))
         got = partial_derivative(f, 0, [0.0], dom, FDScheme(1e-3, 4))
         assert got == pytest.approx(2 * math.pi, rel=1e-10)
 
     def test_one_sided_at_boundary_same_order(self):
-        f = ScalarField(lambda X: math.exp(X[0]))
+        f = ScalarField(lambda X: np.exp(X[..., 0]))
         got = partial_derivative(f, 0, [0.0, 0.5], UNIT2, FDScheme(1e-3, 4))
         assert got == pytest.approx(1.0, abs=1e-10)
 
     def test_order4_convergence_factor(self):
         # halving h must shrink the error by roughly 2^4
-        f = ScalarField(lambda X: math.exp(X[0]))
+        f = ScalarField(lambda X: np.exp(X[..., 0]))
         p = [0.5]
         dom = ChartDomain.unit(1)
         exact = math.exp(0.5)
@@ -89,7 +95,7 @@ class TestIntegration:
         assert integrate_volume(fields.constant_field(1.0), UNIT2) == pytest.approx(1.0, abs=1e-14)
 
     def test_bilinear_coefficient(self):
-        f = ScalarField(lambda X: X[0] * X[1])
+        f = ScalarField(lambda X: X[..., 0] * X[..., 1])
         assert integrate_volume(f, UNIT2, QuadratureRule(2)) == pytest.approx(0.25, abs=1e-12)
 
     def test_zero(self):
@@ -99,7 +105,7 @@ class TestIntegration:
     def test_gauss_exactness(self, degs):
         # exact on per-axis degree <= 2q-1
         i, j = degs
-        f = ScalarField(lambda X: X[0] ** i * X[1] ** j)
+        f = ScalarField(lambda X: X[..., 0] ** i * X[..., 1] ** j)
         exact = 1.0 / ((i + 1) * (j + 1))
         assert integrate_volume(f, UNIT2, QuadratureRule(8)) == pytest.approx(exact, abs=1e-12)
 
@@ -172,7 +178,7 @@ def test_uniform_grid_shapes():
 
 
 def test_gradient_block_matches_partial_derivatives():
-    fs = [fields.coordinate_field(0), ScalarField(lambda X: X[0] * X[1] ** 2)]
+    fs = [fields.coordinate_field(0), ScalarField(lambda X: X[..., 0] * X[..., 1] ** 2)]
     X = np.array([0.3, 0.6])
     block = gradient(fs, X, UNIT2)
     assert block.shape == (2, 2)
@@ -185,13 +191,14 @@ class TestSupNorm:
     GRID = uniform_grid(UNIT2, samples=4)
 
     def test_scalar_field(self):
-        f = ScalarField(lambda X: X[0] - 2.0 * X[1])
+        f = ScalarField(lambda X: X[..., 0] - 2.0 * X[..., 1])
         expected = max(abs(X[0] - 2.0 * X[1]) for X in self.GRID)
         assert sup_norm(f, self.GRID) == expected == 2.0
 
     def test_array_valued_field(self):
         def f(X):
-            return np.array([X[0] * X[1], -3.0 * X[0], 0.5])
+            return np.stack([X[..., 0] * X[..., 1], -3.0 * X[..., 0],
+                             np.full(X.shape[:-1], 0.5)], axis=-1)
 
         expected = max(abs(v) for X in self.GRID for v in f(X))
         assert sup_norm(f, self.GRID) == expected == 3.0
@@ -199,3 +206,135 @@ class TestSupNorm:
     def test_empty_point_set_raises(self):
         with pytest.raises(ValueError):
             sup_norm(fields.constant_field(1.0), np.empty((0, 2)))
+
+    def test_nan_at_a_later_point_propagates(self):
+        last = self.GRID[-1]
+        f = ScalarField(lambda X: np.where(np.all(X == last, axis=-1), np.nan, 1.0))
+        assert math.isnan(sup_norm(f, self.GRID))
+
+
+class TestBatchedProtocol:
+    """A field or derivative evaluated on a point set (N, d) equals the same
+    evaluation row by row, bitwise where the arithmetic is the same."""
+
+    @staticmethod
+    def rowwise(f, axis, P_, dom, scheme=FDScheme()):
+        return np.array([partial_derivative(f, axis, x, dom, scheme) for x in P_])
+
+    def test_scalar_field_shapes(self):
+        f = ScalarField(lambda X: X[..., 0] + X[..., 1])
+        assert isinstance(f([0.25, 0.5]), float) and f([0.25, 0.5]) == 0.75
+        out = f(np.array([[0.25, 0.5], [1.0, 2.0], [0.0, 0.0]]))
+        assert out.shape == (3,) and list(out) == [0.75, 3.0, 0.0]
+
+    def test_constant_result_broadcasts(self):
+        f = ScalarField(lambda X: 2.5)
+        assert f([0.1, 0.2]) == 2.5
+        assert list(f(np.zeros((4, 2)))) == [2.5] * 4
+
+    def test_wrong_shape_raises(self):
+        # a one-point lambda indexing X[0] reads the first row of a point set
+        f = ScalarField(lambda X: X[0] * (1 - X[0]))
+        with pytest.raises(ValueError):
+            f(uniform_grid(ChartDomain.unit(1), 5))
+
+    def test_pointwise_lifts_one_point_callable(self):
+        def g(X, x):
+            assert X.shape == (2,) and x.shape == (3,)
+            return float(X[0] - X[1] * x[2])
+
+        lifted = pointwise(g)
+        X = uniform_grid(UNIT2, 3)
+        x = np.arange(27.0).reshape(9, 3)
+        assert list(lifted(X, x)) == [g(Xn, xn) for Xn, xn in zip(X, x)]
+        assert lifted(X[4], x[4]) == g(X[4], x[4])
+        assert ScalarField(pointwise(lambda X: float(X[0] * X[1])))(X).shape == (9,)
+
+    @pytest.mark.parametrize("scheme", [FDScheme(1e-3, 4), FDScheme(2e-2, 2)])
+    def test_boundary_axis_interior_and_one_sided_rows(self, scheme):
+        # quadratic per axis, so both orders are exact up to roundoff
+        coeffs = np.random.default_rng(5).uniform(-1, 1, (3, 3))
+        f = fields.polynomial_field(coeffs)
+        # rows at both faces, within stencil reach of them, and interior
+        x0 = np.array([0.0, 1e-3, 2e-3, 0.5, 1 - 2e-3, 1 - 1e-3, 1.0, 0.02, 0.97])
+        pts = np.stack([x0, np.linspace(0.0, 1.0, len(x0))], axis=-1)
+        for axis in range(2):
+            batch = partial_derivative(f, axis, pts, UNIT2, scheme)
+            assert batch.shape == (len(pts),)
+            assert np.array_equal(batch, self.rowwise(f, axis, pts, UNIT2, scheme))
+            exact = fields.polynomial_field(P.polyder(coeffs, axis=axis))
+            np.testing.assert_allclose(batch, exact(pts), rtol=0, atol=1e-9)
+
+    def test_periodic_wrap(self):
+        dom = ChartDomain.unit(2, periodic=[0])
+        f = fields.sine_field([(0.7, (2, 1), 0.3), (-1.1, (1, -1), 1.0)])
+        pts = np.array([[0.0, 0.5], [1e-4, 0.2], [0.5, 0.5], [0.9995, 0.0], [0.999, 1.0]])
+        for axis in range(2):
+            assert np.array_equal(partial_derivative(f, axis, pts, dom),
+                                  self.rowwise(f, axis, pts, dom))
+
+    def test_nested_finite_differences(self):
+        f = fields.random_polynomial(np.random.default_rng(6), 2, 3)
+        df = ScalarField(lambda X: partial_derivative(f, 1, X, UNIT2))
+        pts = uniform_grid(UNIT2, 6)
+        assert np.array_equal(partial_derivative(df, 0, pts, UNIT2),
+                              self.rowwise(df, 0, pts, UNIT2))
+
+    def test_gradient_block_shape(self):
+        fs = [fields.coordinate_field(0), fields.constant_field(1.0),
+              ScalarField(lambda X: X[..., 0] * X[..., 1])]
+        pts = uniform_grid(UNIT2, 4)
+        block = gradient(fs, pts, UNIT2)
+        assert block.shape == (16, 3, 2)
+        assert np.array_equal(block, np.array([gradient(fs, x, UNIT2) for x in pts]))
+
+    def test_polynomial_field_matches_one_point_horner(self):
+        rng = np.random.default_rng(8)
+        coeffs = rng.uniform(-1, 1, (4, 3, 5))
+        f = fields.polynomial_field(coeffs)
+        pts = rng.uniform(0, 1, (50, 3))
+
+        def horner(x):
+            v = coeffs
+            for xk in x:
+                v = P.polyval(xk, v)
+            return float(v)
+
+        assert np.array_equal(f(pts), [horner(x) for x in pts])
+        assert np.array_equal(f(pts), [f(x) for x in pts])
+
+    def test_sine_and_bump_fields_match_per_point(self):
+        rng = np.random.default_rng(9)
+        pts = rng.uniform(0, 1, (60, 3))
+        sine = fields.random_sine_field(rng, 3, n_modes=3)
+        assert np.array_equal(sine(pts), [sine(x) for x in pts])
+        bump = fields.poly_bump_field([(0.2, 0.8), (0.1, 0.9), (0.3, 0.7)], 1.3)
+        batch = bump(pts)
+        assert np.count_nonzero(batch) and np.count_nonzero(batch == 0.0)
+        # numpy's power may round the last bit differently on arrays and scalars
+        np.testing.assert_allclose(batch, [bump(x) for x in pts], rtol=1e-15, atol=0)
+
+    def test_lattices_match_itertools_product(self):
+        def product_nodes(axes):
+            pts = [[axes[a][0][i] for a, i in enumerate(c)]
+                   for c in itertools.product(*[range(len(x)) for x, _ in axes])]
+            wts = [math.prod(axes[a][1][i] for a, i in enumerate(c))
+                   for c in itertools.product(*[range(len(x)) for x, _ in axes])]
+            return np.array(pts), np.array(wts)
+
+        dom = ChartDomain.box([(0.0, 1.0), (-1.0, 2.0), (0.5, 0.75)], periodic=[1])
+        rule = QuadratureRule(3, panels=2)
+        axes = [rule.axis_nodes(lo, hi) for lo, hi in dom.bounds]
+        for got, want in zip(volume_nodes(dom, rule), product_nodes(axes)):
+            assert np.array_equal(got, want)
+        face = BoundaryFace(2, "upper")
+        face_axes = axes[:2] + [(np.array([0.75]), np.array([1.0]))]
+        for got, want in zip(face_nodes(dom, face, rule), product_nodes(face_axes)):
+            assert np.array_equal(got, want)
+        lattice_axes = [np.linspace(0.0, 1.0, 4), np.linspace(-1.0, 2.0, 4, endpoint=False),
+                        np.linspace(0.5, 0.75, 4)]
+        assert np.array_equal(uniform_grid(dom, 4),
+                              np.array(list(itertools.product(*lattice_axes))))
+        lattice_axes[2] = np.array([0.75])
+        assert np.array_equal(face_grid(dom, face, 4),
+                              np.array(list(itertools.product(*lattice_axes))))

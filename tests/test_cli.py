@@ -186,6 +186,37 @@ class TestScenarioRunner:
         r = run_scenario(ScenarioConfig("stokes", tolerances={"default": 1e-300}))
         assert not r.passed
 
+    def test_echo_is_the_quadrature_that_ran(self):
+        r = run_scenario(ScenarioConfig("null_stress", d=1, m=1, count=1, q=2))
+        assert (r.config["q"], r.config["panels"]) == (8, 4)
+        r = run_scenario(ScenarioConfig("pform_leibniz", q=2, samples=3))
+        assert (r.config["q"], r.config["panels"]) == (2, 2)
+
+    @pytest.mark.parametrize("scenario, values", [
+        ("maxwell_vacuum", {"d": 7}),
+        ("maxwell_vacuum", {"m": 5, "count": 3}),
+        ("hyperelastic_1d_bar", {"d": 1}),
+        ("stokes", {"samples": 5}),
+        ("equilibrated_translations", {"count": 2}),
+    ], ids=repr)
+    def test_unread_key_rejected(self, scenario, values):
+        with pytest.raises(ConfigError):
+            run_scenario(ScenarioConfig(scenario, **values))
+
+    def test_report_without_checks_fails(self, monkeypatch):
+        monkeypatch.setitem(REGISTRY, "empty", (lambda cfg, run: None, {}, None))
+        r = run_scenario(ScenarioConfig("empty"))
+        assert r.checks == [] and not r.passed
+
+    @pytest.mark.parametrize("value, comparator", [
+        (float("nan"), "le"), (float("nan"), "ge"), (float("inf"), "ge"), (float("-inf"), "le"),
+    ])
+    def test_non_finite_value_fails(self, monkeypatch, value, comparator):
+        monkeypatch.setitem(REGISTRY, "probe", (
+            lambda cfg, run: run.add("probe", value, 1.0, comparator), {}, None))
+        r = run_scenario(ScenarioConfig("probe"))
+        assert not r.checks[0].passed and not r.passed
+
 
 class TestEmit:
     def sample_report(self):
@@ -263,6 +294,19 @@ class TestMain:
         report = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
         assert report["checks"]
         assert {k: report["config"][k] for k in TINY[scenario]} == TINY[scenario]
+
+    def test_unread_key_is_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"scenario": "maxwell_vacuum", "d": 7})
+        assert main(["--config", path]) == EXIT_CONFIG
+        assert "does not read d" in capsys.readouterr().err
+
+    def test_non_finite_value_is_null_in_strict_json(self, monkeypatch, capsys):
+        monkeypatch.setitem(REGISTRY, "probe", (
+            lambda cfg, run: run.add("probe", float("nan"), 1.0), {}, None))
+        assert main(["--scenario", "probe"]) == EXIT_FAIL
+        report = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+        assert report["checks"][0]["value"] is None
+        assert report["checks"][0]["pass"] is False and report["pass"] is False
 
     def test_internal_error_exit_code(self, monkeypatch, capsys):
         import jetstress.cli as cli_mod

@@ -48,7 +48,7 @@ class TestPullback:
         # psi^1 = x', kappa = X^2: pullback gives 2X
         psi = ConstitutiveDensity(((lambda jp: 0.0),),
                                   (((lambda jp: float(jp.xprime[0, 0])),),))
-        kappa = Configuration((ScalarField(lambda X: X[0] ** 2, smoothness=99),))
+        kappa = Configuration((ScalarField(lambda X: X[..., 0] ** 2, smoothness=99),))
         s = pullback_constitutive(psi, kappa, UNIT1)
         assert s.s_mixed[0][0]([0.4]) == pytest.approx(0.8, abs=1e-8)
 
@@ -127,7 +127,7 @@ class TestLoadingFromPotential:
 
     def test_pullback_body_loading(self):
         B = BodyLoadingDensity(((lambda X, x: float(X[0] + x[0])),))
-        kappa = Configuration((ScalarField(lambda X: X[0] ** 2, smoothness=99),))
+        kappa = Configuration((ScalarField(lambda X: X[..., 0] ** 2, smoothness=99),))
         b = pullback_body_loading(B, kappa)
         assert b.value([0.5])[0] == pytest.approx(0.75)
 
@@ -171,7 +171,7 @@ class TestEnergyVariation:
         # kappa = X, v = X(1-X): both sides equal integral of (1 - 2X) = 0
         kappa = Configuration((fields.coordinate_field(0),), smoothness=99)
         L = LagrangianDensity(lambda jp: 0.5 * float(jp.xprime[0, 0]) ** 2)
-        v = VelocityField((ScalarField(lambda X: X[0] * (1 - X[0]), smoothness=99),))
+        v = VelocityField((ScalarField(lambda X: X[..., 0] * (1 - X[..., 0]), smoothness=99),))
         assert energy_variation_residual(kappa, v, L, UNIT1) <= 1e-8
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -193,7 +193,7 @@ def bar_problem():
     w = PotentialDensities(lambda X, x: float(x[0]),
                            {upper: lambda X, x: -float(x[0])})
     B, T = loading_from_potential(w, 1)
-    kappa = Configuration((ScalarField(lambda X: 0.5 * X[0] ** 2, smoothness=99),))
+    kappa = Configuration((ScalarField(lambda X: 0.5 * X[..., 0] ** 2, smoothness=99),))
     return L, psi, w, B, T, kappa
 
 
@@ -222,7 +222,7 @@ class TestBVP:
         _, psi, _, B, T, kappa = bar_problem()
         eps = 1e-2
         bent = Configuration((ScalarField(
-            lambda X: 0.5 * X[0] ** 2 + eps * np.sin(np.pi * X[0]),
+            lambda X: 0.5 * X[..., 0] ** 2 + eps * np.sin(np.pi * X[..., 0]),
             smoothness=99),))
         interior, _ = bvp_residual(bent, psi, B, T, UNIT1)
         assert interior >= 5e-3

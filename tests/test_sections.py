@@ -28,7 +28,7 @@ def test_fiber_spec_rejects_nonpositive():
 
 class TestProlongation:
     def test_quadratic_scalar(self):
-        kappa = Configuration((ScalarField(lambda X: X[0] ** 2, smoothness=99),))
+        kappa = Configuration((ScalarField(lambda X: X[..., 0] ** 2, smoothness=99),))
         jet = jet_prolong_config(kappa, UNIT1)
         jp = jet.at([0.5])
         assert jp.x[0] == pytest.approx(0.25, abs=1e-12)
@@ -43,7 +43,7 @@ class TestProlongation:
 
     def test_periodic_component(self):
         dom = ChartDomain.unit(1, periodic=[0])
-        kappa = Configuration((ScalarField(lambda X: math.sin(2 * math.pi * X[0]),
+        kappa = Configuration((ScalarField(lambda X: np.sin(2 * math.pi * X[..., 0]),
                                            smoothness=99),))
         jp = jet_prolong_config(kappa, dom).at([0.0])
         assert jp.xprime[0, 0] == pytest.approx(2 * math.pi, rel=1e-7)
@@ -132,13 +132,13 @@ class TestHolonomy:
         # perturbing the gradient block by an eps bump moves the residual by
         # about eps
         eps = 1e-3
-        kappa = Configuration((ScalarField(lambda X: X[0] ** 3, smoothness=99),))
+        kappa = Configuration((ScalarField(lambda X: X[..., 0] ** 3, smoothness=99),))
         jet = jet_prolong_config(kappa, UNIT1)
         bump = fields.poly_bump_field([(0.2, 0.8)], eps)
 
         def ev(X):
             x, xp = jet(X)
-            return x, xp + bump(X)
+            return x, xp + np.asarray(bump(X))[..., None, None]
 
         res = holonomy_residual(JetSection(ev, 1), UNIT1, samples=9)
         assert abs(res - eps) <= 0.1 * eps
