@@ -6,8 +6,9 @@ here is the oracle those identities are checked against.
 
 Axes are 0-based.  A field is any callable taking a coordinate array X of
 shape (..., d) and returning the values of shape (...): one call evaluates a
-whole node set or probe lattice.  `pointwise` lifts a callable written for a
-single point.  This module is the one place that walks a point set
+whole node set or probe lattice, and a single point is the case ... = ().
+The jet-coordinate densities of `material` follow the same contract.  This
+module is the one place that walks a point set
 (`sup_norm` over a probe lattice, the quadrature sum) or builds a gradient
 block (`gradient`); the identity modules compose these.
 """
@@ -97,14 +98,13 @@ class ChartDomain:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Deterministic coefficient field over the chart, tagged with smoothness C^k.
+    """Deterministic coefficient field over the chart.
 
     Called on one point (d,) it returns a float; on a point set (N, d) an (N,)
     array.  A constant result broadcasts; any other shape is an error.
     """
 
     func: Evaluator
-    smoothness: int = 2
 
     def __call__(self, X):
         X = np.asarray(X, dtype=float)
@@ -114,19 +114,6 @@ class ScalarField:
                 raise ValueError(f"field returned shape {out.shape} for points of shape {X.shape}")
             out = np.full(X.shape[:-1], out)
         return float(out) if X.ndim == 1 else out
-
-
-def pointwise(g: Callable[..., float]) -> Callable[..., np.ndarray]:
-    """Lift a one-point callable g(X, *more) to point sets: for X of shape
-    (N, d) it calls g once per row, with the matching rows of `more`."""
-
-    def lifted(X, *more):
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            return g(X, *more)
-        return np.array([g(*row) for row in zip(X, *more)], dtype=float)
-
-    return lifted
 
 
 @dataclass(frozen=True)
@@ -142,6 +129,15 @@ class FDScheme:
             raise ValueError("FD order must be 2 or 4")
         if self.step <= 0:
             raise ValueError("FD step must be positive")
+
+
+@lru_cache(maxsize=None)
+def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only because every
+    rule of this order shares them."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 @lru_cache(maxsize=None)
@@ -232,7 +228,7 @@ class QuadratureRule:
             raise ValueError("quadrature order and panels must be positive")
 
     def axis_nodes(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-        ref_x, ref_w = np.polynomial.legendre.leggauss(self.order)
+        ref_x, ref_w = _leggauss(self.order)
         xs, ws = [], []
         width = (hi - lo) / self.panels
         for k in range(self.panels):

@@ -5,11 +5,11 @@ from .chart import (
     ChartDomain,
     FDScheme,
     QuadratureRule,
-    ScalarField,
     face_grid,
     sup_norm,
     uniform_grid,
 )
+from .fields import scaled
 from .forces import BodyForceDensity, ForceFunctional, virtual_power_of_force
 from .sections import VelocityField
 from .stress import (
@@ -27,8 +27,7 @@ def force_from_stress(s: VariationalStressDensity, dom: ChartDomain,
     """Manufacture the continuous force a stress represents: body density
     -div(s) and boundary tractions from the Cauchy mapping."""
     div = divergence(s, dom, scheme)
-    body = BodyForceDensity(tuple(ScalarField(lambda X, g=g: -g(X))
-                                  for g in div.components))
+    body = BodyForceDensity(tuple(scaled(g, -1.0) for g in div.components))
     return ForceFunctional(body, cauchy_all_faces(traction_extract(s), dom))
 
 

@@ -16,11 +16,11 @@ from .chart import ScalarField
 
 def constant_field(c: float) -> ScalarField:
     c = float(c)
-    return ScalarField(lambda X: np.full(np.shape(X)[:-1], c), smoothness=99)
+    return ScalarField(lambda X: np.full(np.shape(X)[:-1], c))
 
 
 def coordinate_field(axis: int) -> ScalarField:
-    return ScalarField(lambda X: X[..., axis], smoothness=99)
+    return ScalarField(lambda X: X[..., axis])
 
 
 def polynomial_field(coeffs) -> ScalarField:
@@ -35,7 +35,7 @@ def polynomial_field(coeffs) -> ScalarField:
             v = P.polyval(X[..., k], v, tensor=False)
         return v
 
-    return ScalarField(ev, smoothness=99)
+    return ScalarField(ev)
 
 
 def random_polynomial(rng: np.random.Generator, dim: int, degree: int = 3,
@@ -54,7 +54,7 @@ def sine_field(modes: Sequence[tuple[float, Sequence[int], float]]) -> ScalarFie
     def ev(X: np.ndarray) -> np.ndarray:
         return sum(a * np.sin(2.0 * math.pi * (X @ k) + p) for a, k, p in modes)
 
-    return ScalarField(ev, smoothness=99)
+    return ScalarField(ev)
 
 
 def random_sine_field(rng: np.random.Generator, dim: int, n_modes: int = 2,
@@ -91,10 +91,10 @@ def poly_bump_field(support: Sequence[Sequence[float]], amplitude: float = 1.0,
             v = v * ((t - a) * (b - t) / (half * half)) ** power
         return np.where(outside, 0.0, v)
 
-    return ScalarField(ev, smoothness=power - 1)
+    return ScalarField(ev)
 
 
 def scaled(f: ScalarField, c: float) -> ScalarField:
     c = float(c)
-    return ScalarField(lambda X: c * f(X), smoothness=f.smoothness)
+    return ScalarField(lambda X: c * f(X))
 

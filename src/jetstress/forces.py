@@ -18,7 +18,7 @@ from .chart import (
     integrate_face,
     integrate_volume,
 )
-from .fields import constant_field
+from .fields import constant_field, scaled
 from .sections import Configuration, VelocityField
 
 
@@ -111,9 +111,9 @@ def rotation_generator(kappa: Configuration, i: int, j: int) -> GeneratorField:
 
     def comp(k: int) -> ScalarField:
         if k == i:
-            return ScalarField(lambda X: -kappa.components[j](X))
+            return scaled(kappa.components[j], -1.0)
         if k == j:
-            return ScalarField(lambda X: kappa.components[i](X))
+            return kappa.components[i]
         return constant_field(0.0)
 
     return GeneratorField(f"rotation_{i}{j}", VelocityField(tuple(comp(k) for k in range(m))))

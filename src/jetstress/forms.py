@@ -22,7 +22,7 @@ from .chart import (
     sup_norm,
     uniform_grid,
 )
-from .fields import constant_field
+from .fields import constant_field, scaled
 
 Index = tuple[int, ...]
 
@@ -162,7 +162,7 @@ def hodge_star(a: PForm, metric: FlatMetric) -> PForm:
         coef = float(shuffle_sign(I, Ic))
         for i in I:
             coef *= metric.signature[i]
-        comps[Ic] = ScalarField(lambda X, f=f, c=coef: c * f(X))
+        comps[Ic] = scaled(f, coef)
     return PForm(a.dim - a.degree, a.dim, comps)
 
 

@@ -5,8 +5,9 @@ Vertical (fiber and jet) derivatives are central differences with a step
 scaled relative to the coordinate magnitude; the pullback along a
 configuration jet turns jet-coordinate fields into base fields, after which
 all base differentiation is total.  Jet-coordinate callables (`JetEval`,
-`FiberEval`) take one point; the configuration and its jet are evaluated on
-the whole point set and `chart.pointwise` feeds them row by row.
+`FiberEval`) follow the field protocol: on a point set they receive the
+configuration and its jet at every point at once and return one value per
+point, shape (...); a single point is the case ... = ().
 
 Sign convention for the field equation: the invariant form div(s) + b = 0 is
 adopted, so the interior residual is  d_a(psi_i^a along j1 kappa) - psi_i + B_i.
@@ -27,7 +28,6 @@ from .chart import (
     face_grid,
     integrate_face,
     integrate_volume,
-    pointwise,
     sup_norm,
     uniform_grid,
 )
@@ -35,8 +35,10 @@ from .forces import BodyForceDensity
 from .sections import Configuration, JetPoint, JetSection, VelocityField, jet_prolong_config
 from .stress import VariationalStressDensity, divergence, virtual_power_of_stress
 
-JetEval = Callable[[JetPoint], float]
-FiberEval = Callable[[np.ndarray, np.ndarray], float]  # (X, x) -> real
+# jet coordinates (X (..., d), x (..., m), xprime (..., m, d)) -> values (...)
+JetEval = Callable[[JetPoint], np.ndarray]
+# (X (..., d), x (..., m)) -> values (...)
+FiberEval = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 VERTICAL_STEP = 1e-4
 
@@ -66,8 +68,8 @@ class LagrangianDensity:
 
     func: JetEval
 
-    def __call__(self, jp: JetPoint) -> float:
-        return float(self.func(jp))
+    def __call__(self, jp: JetPoint) -> np.ndarray:
+        return np.asarray(self.func(jp), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -104,29 +106,27 @@ class PotentialDensities:
     surface: Mapping[BoundaryFace, FiberEval]
 
 
-def _central(g: Callable[[np.ndarray], float], base: np.ndarray,
-             idx: int | tuple[int, int], step: float) -> float:
-    """Central difference of g along entry idx of base, with the step scaled
-    by the magnitude of that entry."""
-    h = step * max(1.0, abs(base[idx]))
+def _central(g: Callable[[np.ndarray], np.ndarray], base: np.ndarray,
+             idx: tuple[int, ...], step: float) -> np.ndarray:
+    """Central difference of g along entry base[..., *idx] at every point at
+    once, each point's step scaled by the magnitude of its own entry."""
+    key = (..., *idx)
+    h = step * np.maximum(1.0, np.abs(base[key]))
     up = np.array(base, dtype=float)
     down = np.array(base, dtype=float)
-    up[idx] += h
-    down[idx] -= h
+    up[key] += h
+    down[key] -= h
     return (g(up) - g(down)) / (2 * h)
 
 
-def _along_jet(g: JetEval, jet: JetSection) -> Callable[[np.ndarray], np.ndarray]:
-    """Base field X -> g(jet at X): the jet is evaluated on the whole point
-    set, g at one jet point at a time."""
-    at = pointwise(lambda X, x, xp: g(JetPoint(X, x, xp)))
-    return lambda X: at(X, *jet(X))
+def _along_jet(g: JetEval, jet: JetSection) -> ScalarField:
+    """Base field X -> g(jet at X)."""
+    return ScalarField(lambda X: g(JetPoint(X, *jet(X))))
 
 
-def _along_config(g: FiberEval, kappa: Configuration) -> Callable[[np.ndarray], np.ndarray]:
-    """Base field X -> g(X, kappa(X)), g at one point at a time."""
-    at = pointwise(g)
-    return lambda X: at(X, kappa.value(X))
+def _along_config(g: FiberEval, kappa: Configuration) -> ScalarField:
+    """Base field X -> g(X, kappa(X))."""
+    return ScalarField(lambda X: g(X, kappa.value(X)))
 
 
 def pullback_constitutive(psi: ConstitutiveDensity, kappa: Configuration,
@@ -136,8 +136,8 @@ def pullback_constitutive(psi: ConstitutiveDensity, kappa: Configuration,
     producing stress component fields over the base."""
     jet = jet_prolong_config(kappa, dom, scheme)
     return VariationalStressDensity(
-        tuple(ScalarField(_along_jet(g, jet)) for g in psi.psi_lower),
-        tuple(tuple(ScalarField(_along_jet(g, jet)) for g in row) for row in psi.psi_mixed),
+        tuple(_along_jet(g, jet) for g in psi.psi_lower),
+        tuple(tuple(_along_jet(g, jet) for g in row) for row in psi.psi_mixed),
     )
 
 
@@ -147,7 +147,7 @@ def constitutive_from_lagrangian(L: LagrangianDensity, fiber_dim: int, base_dim:
     psi_i^a = dL/dx'^i_a, by central differences at fixed other jet coordinates."""
 
     def d_value(i: int) -> JetEval:
-        return lambda jp: _central(lambda x: L(JetPoint(jp.X, x, jp.xprime)), jp.x, i, step)
+        return lambda jp: _central(lambda x: L(JetPoint(jp.X, x, jp.xprime)), jp.x, (i,), step)
 
     def d_grad(i: int, a: int) -> JetEval:
         return lambda jp: _central(lambda g: L(JetPoint(jp.X, jp.x, g)), jp.xprime, (i, a), step)
@@ -163,7 +163,7 @@ def loading_from_potential(w: PotentialDensities, fiber_dim: int,
     """Loading densities as negative vertical derivatives of the potentials."""
 
     def neg_grad(g: FiberEval, i: int) -> FiberEval:
-        return lambda X, x: -_central(lambda y: g(X, y), x, i, step)
+        return lambda X, x: -_central(lambda y: g(X, y), x, (i,), step)
 
     body = BodyLoadingDensity(tuple(neg_grad(w.body, i) for i in range(fiber_dim)))
     surf = SurfaceLoadingDensity(
@@ -173,7 +173,7 @@ def loading_from_potential(w: PotentialDensities, fiber_dim: int,
 
 
 def pullback_body_loading(B: BodyLoadingDensity, kappa: Configuration) -> BodyForceDensity:
-    return BodyForceDensity(tuple(ScalarField(_along_config(g, kappa)) for g in B.components))
+    return BodyForceDensity(tuple(_along_config(g, kappa) for g in B.components))
 
 
 def total_energy(kappa: Configuration, L: LagrangianDensity | None,
@@ -228,23 +228,14 @@ def bvp_residual(kappa: Configuration, psi: ConstitutiveDensity,
         raise ValueError("interior residual needs a C2 configuration")
     s = pullback_constitutive(psi, kappa, dom, scheme)
     div = divergence(s, dom, scheme)
-
-    loads = [pointwise(B) for B in body_loading.components]
-
-    def interior_residual(X: np.ndarray) -> np.ndarray:
-        kx = kappa.value(X)
-        return div.value(X) + np.stack([B(X, kx) for B in loads], axis=-1)
-
-    interior = sup_norm(interior_residual, uniform_grid(dom, samples))
+    b = pullback_body_loading(body_loading, kappa)
+    interior = sup_norm(lambda X: div.value(X) + b.value(X), uniform_grid(dom, samples))
 
     boundary = 0.0
     for face in dom.faces():
-        ts = [pointwise(T) for T in surface_loading.on_face(face, s.fiber_dim)]
-
-        def boundary_residual(X: np.ndarray) -> list[np.ndarray]:
-            kx = kappa.value(X)
-            return [face.induced_sign * row[face.axis](X) - T(X, kx)
-                    for row, T in zip(s.s_mixed, ts)]
-
-        boundary = max(boundary, sup_norm(boundary_residual, face_grid(dom, face, samples)))
+        ts = [_along_config(T, kappa) for T in surface_loading.on_face(face, s.fiber_dim)]
+        boundary = max(boundary, sup_norm(
+            lambda X: [face.induced_sign * row[face.axis](X) - T(X)
+                       for row, T in zip(s.s_mixed, ts)],
+            face_grid(dom, face, samples)))
     return interior, boundary

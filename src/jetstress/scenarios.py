@@ -228,7 +228,7 @@ def _scenario_null_stress(cfg: ScenarioConfig, run: _Runner) -> None:
 def _bar_setup() -> tuple[ChartDomain, material.LagrangianDensity,
                           material.BodyLoadingDensity, material.SurfaceLoadingDensity]:
     dom = ChartDomain.unit(1)
-    L = material.LagrangianDensity(lambda jp: 0.5 * float(jp.xprime[0, 0]) ** 2)
+    L = material.LagrangianDensity(lambda jp: 0.5 * jp.xprime[..., 0, 0] ** 2)
     body = material.BodyLoadingDensity(((lambda X, x: -1.0),))
     upper = chart.BoundaryFace(0, "upper")
     lower = chart.BoundaryFace(0, "lower")
@@ -261,11 +261,11 @@ def random_lagrangian(rng: np.random.Generator, m: int, d: int,
     for powers in np.ndindex(*((degree + 1,) * (m + m * d))):
         if sum(powers) == 0 or sum(powers) > degree:
             continue
-        terms.append((rng.uniform(-1.0, 1.0), tuple(int(p) for p in powers)))
+        terms.append((rng.uniform(-1.0, 1.0), np.array(powers)))
 
-    def ev(jp: JetPoint) -> float:
-        coords = np.concatenate([jp.x, jp.xprime.ravel()])
-        return float(sum(c * np.prod(coords ** np.array(p)) for c, p in terms))
+    def ev(jp: JetPoint) -> np.ndarray:
+        coords = np.concatenate([jp.x, jp.xprime.reshape(*jp.xprime.shape[:-2], -1)], axis=-1)
+        return sum(c * np.prod(coords ** p, axis=-1) for c, p in terms)
 
     return material.LagrangianDensity(ev)
 

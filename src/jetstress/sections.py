@@ -2,8 +2,8 @@
 
 Fibers are represented linearly: a configuration is m scalar component
 fields over the chart, and a first jet carries the value block x together
-with the gradient block xprime of shape (m, d); on a point set (N, d) both
-carry a leading point axis, (N, m) and (N, m, d).  Deformation jets need not
+with the gradient block xprime of shape (m, d); on a point set (..., d) both
+carry the leading point axes, (..., m) and (..., m, d).  Deformation jets need not
 be holonomic; the gradient block is stored, not recomputed.
 """
 from __future__ import annotations
@@ -27,7 +27,8 @@ class FiberSpec:
 
 @dataclass(frozen=True)
 class JetPoint:
-    """Jet coordinates (X, x, xprime) at one base point; xprime has shape (m, d)."""
+    """Jet coordinates at a point set: X (..., d), x (..., m) and xprime
+    (..., m, d); one base point is the case ... = ()."""
 
     X: np.ndarray
     x: np.ndarray

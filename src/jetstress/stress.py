@@ -19,6 +19,7 @@ from .chart import (
     integrate_volume,
     partial_derivative,
 )
+from .fields import scaled
 from .forces import BodyForceDensity, SurfaceForceDensity
 from .sections import VelocityField, VelocityJet, jet_prolong_velocity
 
@@ -122,8 +123,7 @@ def cauchy_face_components(tau: TractionStressDensity, face: BoundaryFace,
     restricted to the face, with the orientation sign folded in."""
     if dom.is_periodic(face.axis):
         raise ValueError(f"axis {face.axis} is periodic; no boundary face there")
-    sgn = face.induced_sign
-    return tuple(ScalarField(lambda X, g=tau.tau[i][face.axis]: sgn * g(X))
+    return tuple(scaled(tau.tau[i][face.axis], face.induced_sign)
                  for i in range(tau.fiber_dim))
 
 

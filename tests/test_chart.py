@@ -18,7 +18,6 @@ from jetstress.chart import (
     integrate_boundary,
     integrate_volume,
     partial_derivative,
-    pointwise,
     stokes_residual,
     sup_norm,
     uniform_grid,
@@ -237,18 +236,6 @@ class TestBatchedProtocol:
         f = ScalarField(lambda X: X[0] * (1 - X[0]))
         with pytest.raises(ValueError):
             f(uniform_grid(ChartDomain.unit(1), 5))
-
-    def test_pointwise_lifts_one_point_callable(self):
-        def g(X, x):
-            assert X.shape == (2,) and x.shape == (3,)
-            return float(X[0] - X[1] * x[2])
-
-        lifted = pointwise(g)
-        X = uniform_grid(UNIT2, 3)
-        x = np.arange(27.0).reshape(9, 3)
-        assert list(lifted(X, x)) == [g(Xn, xn) for Xn, xn in zip(X, x)]
-        assert lifted(X[4], x[4]) == g(X[4], x[4])
-        assert ScalarField(pointwise(lambda X: float(X[0] * X[1])))(X).shape == (9,)
 
     @pytest.mark.parametrize("scheme", [FDScheme(1e-3, 4), FDScheme(2e-2, 2)])
     def test_boundary_axis_interior_and_one_sided_rows(self, scheme):

@@ -1,8 +1,12 @@
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetstress.cli import (
     EXIT_CONFIG,
@@ -337,3 +341,35 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == EXIT_PASS
     assert proc.stdout.startswith("scenario: stokes")
+
+
+@st.composite
+def small_configs(draw) -> dict:
+    """Any scenario at a small config: every key its registry row lists is
+    set small, and the FD step ranges over the whole unit box."""
+    scenario = draw(st.sampled_from(sorted(REGISTRY)))
+    values = {"scenario": scenario,
+              "seed": draw(st.integers(0, 3)),
+              "q": draw(st.integers(1, 4)),
+              "panels": draw(st.integers(1, 2)),
+              "fd_order": draw(st.sampled_from([2, 4])),
+              "fd_step": draw(st.floats(0.0, 0.25, exclude_min=True, exclude_max=True))}
+    ranges = {"d": (2, 3) if scenario == "pform_leibniz" else (1, 2), "m": (1, 2),
+              "count": (1, 2), "samples": (2, 5)}
+    for key in REGISTRY[scenario][1]:
+        values[key] = draw(st.integers(*ranges[key]))
+    return values
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(small_configs())
+def test_any_config_exits_0_1_or_2_with_strict_json(values):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "run.cfg", Path(tmp) / "report.json"
+        cfg.write_text("".join(f"{k} = {v!r}\n" if isinstance(v, float) else f"{k} = {v}\n"
+                               for k, v in values.items()))
+        code = main(["--config", str(cfg), "--out", str(out)])
+        assert code in (EXIT_PASS, EXIT_FAIL, EXIT_CONFIG)
+        if code != EXIT_CONFIG:
+            report = json.loads(out.read_text(), parse_constant=reject_constant)
+            assert report["checks"] and report["pass"] == (code == EXIT_PASS)

@@ -123,7 +123,7 @@ class TestExteriorDerivative:
         assert da.component((0, 1))([0.4, 0.6]) == pytest.approx(1.0, abs=1e-9)
 
     def test_gradient_of_function(self):
-        f = ScalarField(lambda X: X[..., 0] * X[..., 1], smoothness=99)
+        f = ScalarField(lambda X: X[..., 0] * X[..., 1])
         da = exterior_derivative(scalar_form(f, 2), UNIT2)
         assert da.component((0,))([0.4, 0.6]) == pytest.approx(0.6, abs=1e-9)
         assert da.component((1,))([0.4, 0.6]) == pytest.approx(0.4, abs=1e-9)
@@ -242,7 +242,7 @@ class TestMaxwell:
     @staticmethod
     def plane_wave(k, axis=2):
         k = 2 * math.pi * np.asarray(k, dtype=float)
-        comp = ScalarField(lambda X: np.cos(X @ k), smoothness=99)
+        comp = ScalarField(lambda X: np.cos(X @ k))
         return PForm(1, 4, {(axis,): comp})
 
     def test_zero_potential(self):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from jetstress import fields
+from jetstress import fields, scenarios
 from jetstress.chart import (
     BoundaryFace,
     ChartDomain,
     QuadratureRule,
     ScalarField,
+    uniform_grid,
 )
 from jetstress.material import (
     BodyLoadingDensity,
@@ -48,7 +49,7 @@ class TestPullback:
         # psi^1 = x', kappa = X^2: pullback gives 2X
         psi = ConstitutiveDensity(((lambda jp: 0.0),),
                                   (((lambda jp: float(jp.xprime[0, 0])),),))
-        kappa = Configuration((ScalarField(lambda X: X[..., 0] ** 2, smoothness=99),))
+        kappa = Configuration((ScalarField(lambda X: X[..., 0] ** 2),))
         s = pullback_constitutive(psi, kappa, UNIT1)
         assert s.s_mixed[0][0]([0.4]) == pytest.approx(0.8, abs=1e-8)
 
@@ -127,9 +128,71 @@ class TestLoadingFromPotential:
 
     def test_pullback_body_loading(self):
         B = BodyLoadingDensity(((lambda X, x: float(X[0] + x[0])),))
-        kappa = Configuration((ScalarField(lambda X: X[..., 0] ** 2, smoothness=99),))
+        kappa = Configuration((ScalarField(lambda X: X[..., 0] ** 2),))
         b = pullback_body_loading(B, kappa)
         assert b.value([0.5])[0] == pytest.approx(0.75)
+
+
+class TestBatchedJetProtocol:
+    """Densities take a whole point set; each row is bitwise what the
+    one-point call gives."""
+
+    D, M, N = 2, 2, 50
+
+    def batch(self, rng):
+        return JetPoint(rng.uniform(0, 1, (self.N, self.D)), rng.uniform(-2, 2, (self.N, self.M)),
+                        rng.uniform(-2, 2, (self.N, self.M, self.D)))
+
+    def test_constitutive_from_lagrangian(self):
+        rng = np.random.default_rng(11)
+        psi = constitutive_from_lagrangian(scenarios.random_lagrangian(rng, self.M, self.D),
+                                           self.M, self.D)
+        jp = self.batch(rng)
+        for g in psi.psi_lower + tuple(g for row in psi.psi_mixed for g in row):
+            got = g(jp)
+            assert got.shape == (self.N,)
+            assert np.array_equal(got, [g(JetPoint(jp.X[k], jp.x[k], jp.xprime[k]))
+                                        for k in range(self.N)])
+
+    def test_loading_from_potential(self):
+        face = BoundaryFace(0, "upper")
+        w = PotentialDensities(
+            lambda X, x: 0.5 * np.sum(x ** 2, axis=-1) + X[..., 0] * x[..., 1] ** 3,
+            {face: lambda X, x: np.sin(x[..., 0] * x[..., 1])})
+        B, T = loading_from_potential(w, self.M)
+        jp = self.batch(np.random.default_rng(12))
+        for g in B.components + T.on_face(face, self.M):
+            got = g(jp.X, jp.x)
+            assert got.shape == (self.N,)
+            assert np.array_equal(got, [g(jp.X[k], jp.x[k]) for k in range(self.N)])
+
+    def test_pullback_constitutive(self):
+        rng = np.random.default_rng(13)
+        psi = constitutive_from_lagrangian(scenarios.random_lagrangian(rng, self.M, self.D),
+                                           self.M, self.D)
+        kappa = Configuration(tuple(fields.random_polynomial(rng, self.D, 3)
+                                    for _ in range(self.M)))
+        s = pullback_constitutive(psi, kappa, UNIT2)
+        # boundary rows too, where the configuration jet takes one-sided stencils
+        X = np.concatenate([uniform_grid(UNIT2, 5), rng.uniform(0, 1, (self.N - 25, self.D))])
+        for f in s.s_lower + tuple(f for row in s.s_mixed for f in row):
+            got = f(X)
+            assert got.shape == (self.N,)
+            assert np.array_equal(got, [f(Xk) for Xk in X])
+
+    @pytest.mark.parametrize("density", [
+        lambda jp: float(jp.xprime[0, 0]),  # a float of an array raises TypeError
+        lambda jp: jp.xprime[0, 0],         # the first row only: the wrong shape
+    ], ids=["float", "first-row"])
+    def test_one_point_density_on_a_point_set_raises(self, density):
+        psi = ConstitutiveDensity(((lambda jp: 0.0),), ((density,),))
+        s = pullback_constitutive(psi, Configuration((fields.coordinate_field(0),)), UNIT1)
+        assert s.s_mixed[0][0]([0.4]) == pytest.approx(1.0, abs=1e-8)
+        with pytest.raises((TypeError, ValueError)):
+            s.s_mixed[0][0](uniform_grid(UNIT1, 5))
+        with pytest.raises((TypeError, ValueError)):
+            total_energy(Configuration((fields.coordinate_field(0),)),
+                         LagrangianDensity(density), None, UNIT1)
 
 
 class TestTotalEnergy:
@@ -141,20 +204,20 @@ class TestTotalEnergy:
     def test_quadratic_stored_energy(self):
         # L = (1/2)(x')^2, kappa = X: energy 1/2
         kappa = Configuration((fields.coordinate_field(0),), smoothness=99)
-        L = LagrangianDensity(lambda jp: 0.5 * float(jp.xprime[0, 0]) ** 2)
+        L = LagrangianDensity(lambda jp: 0.5 * jp.xprime[..., 0, 0] ** 2)
         assert total_energy(kappa, L, None, UNIT1) == pytest.approx(0.5, abs=1e-10)
 
     def test_constant_shift(self):
         kappa = Configuration((fields.coordinate_field(0),), smoothness=99)
-        L1 = LagrangianDensity(lambda jp: 0.5 * float(jp.xprime[0, 0]) ** 2)
-        L2 = LagrangianDensity(lambda jp: 0.5 * float(jp.xprime[0, 0]) ** 2 + 3.0)
+        L1 = LagrangianDensity(lambda jp: 0.5 * jp.xprime[..., 0, 0] ** 2)
+        L2 = LagrangianDensity(lambda jp: 0.5 * jp.xprime[..., 0, 0] ** 2 + 3.0)
         e1 = total_energy(kappa, L1, None, UNIT1)
         e2 = total_energy(kappa, L2, None, UNIT1)
         assert e2 - e1 == pytest.approx(3.0, abs=1e-12)
 
     def test_potential_terms(self):
         face = BoundaryFace(0, "upper")
-        w = PotentialDensities(lambda X, x: float(x[0]), {face: lambda X, x: float(x[0])})
+        w = PotentialDensities(lambda X, x: x[..., 0], {face: lambda X, x: x[..., 0]})
         kappa = Configuration((fields.coordinate_field(0),), smoothness=99)
         # body integral of X is 1/2, face value at X=1 is 1
         assert total_energy(kappa, None, w, UNIT1) == pytest.approx(1.5, abs=1e-12)
@@ -163,15 +226,15 @@ class TestTotalEnergy:
 class TestEnergyVariation:
     def test_zero_velocity(self):
         kappa = Configuration((fields.coordinate_field(0),), smoothness=99)
-        L = LagrangianDensity(lambda jp: 0.5 * float(jp.xprime[0, 0]) ** 2)
+        L = LagrangianDensity(lambda jp: 0.5 * jp.xprime[..., 0, 0] ** 2)
         v = VelocityField((fields.constant_field(0.0),))
         assert energy_variation_residual(kappa, v, L, UNIT1) <= 1e-12
 
     def test_linear_configuration(self):
         # kappa = X, v = X(1-X): both sides equal integral of (1 - 2X) = 0
         kappa = Configuration((fields.coordinate_field(0),), smoothness=99)
-        L = LagrangianDensity(lambda jp: 0.5 * float(jp.xprime[0, 0]) ** 2)
-        v = VelocityField((ScalarField(lambda X: X[..., 0] * (1 - X[..., 0]), smoothness=99),))
+        L = LagrangianDensity(lambda jp: 0.5 * jp.xprime[..., 0, 0] ** 2)
+        v = VelocityField((ScalarField(lambda X: X[..., 0] * (1 - X[..., 0])),))
         assert energy_variation_residual(kappa, v, L, UNIT1) <= 1e-8
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -179,21 +242,21 @@ class TestEnergyVariation:
         rng = np.random.default_rng(seed)
         kappa = Configuration((fields.random_polynomial(rng, 1, 3),), smoothness=99)
         v = VelocityField((fields.random_polynomial(rng, 1, 3),))
-        L = LagrangianDensity(lambda jp: 0.5 * float(jp.xprime[0, 0]) ** 2
-                              + float(jp.x[0]) ** 2)
+        L = LagrangianDensity(lambda jp: 0.5 * jp.xprime[..., 0, 0] ** 2
+                              + jp.x[..., 0] ** 2)
         assert energy_variation_residual(kappa, v, L, UNIT1) <= 1e-6
 
 
 def bar_problem():
     """Uniaxial bar: quadratic stored energy, unit pull at the top end,
     uniform body load; kappa* = X^2/2 solves it exactly."""
-    L = LagrangianDensity(lambda jp: 0.5 * float(jp.xprime[0, 0]) ** 2)
+    L = LagrangianDensity(lambda jp: 0.5 * jp.xprime[..., 0, 0] ** 2)
     psi = constitutive_from_lagrangian(L, 1, 1)
     upper = BoundaryFace(0, "upper")
-    w = PotentialDensities(lambda X, x: float(x[0]),
-                           {upper: lambda X, x: -float(x[0])})
+    w = PotentialDensities(lambda X, x: x[..., 0],
+                           {upper: lambda X, x: -x[..., 0]})
     B, T = loading_from_potential(w, 1)
-    kappa = Configuration((ScalarField(lambda X: 0.5 * X[..., 0] ** 2, smoothness=99),))
+    kappa = Configuration((ScalarField(lambda X: 0.5 * X[..., 0] ** 2),))
     return L, psi, w, B, T, kappa
 
 
@@ -222,8 +285,7 @@ class TestBVP:
         _, psi, _, B, T, kappa = bar_problem()
         eps = 1e-2
         bent = Configuration((ScalarField(
-            lambda X: 0.5 * X[..., 0] ** 2 + eps * np.sin(np.pi * X[..., 0]),
-            smoothness=99),))
+            lambda X: 0.5 * X[..., 0] ** 2 + eps * np.sin(np.pi * X[..., 0])),))
         interior, _ = bvp_residual(bent, psi, B, T, UNIT1)
         assert interior >= 5e-3
 
@@ -244,8 +306,7 @@ class TestBVP:
 
             def energy_at(t):
                 comps = (ScalarField(
-                    lambda X, t=t: kappa.components[0](X) + t * v.components[0](X),
-                    smoothness=99),)
+                    lambda X, t=t: kappa.components[0](X) + t * v.components[0](X)),)
                 return total_energy(Configuration(comps, 99), L, w, UNIT1)
 
             variation = (energy_at(t_step) - energy_at(-t_step)) / (2 * t_step)
@@ -259,7 +320,7 @@ def test_hyperelastic_power_matches_energy_rate():
     # rate: the two pipelines share no code past the Lagrangian itself
     rng = np.random.default_rng(77)
     L = LagrangianDensity(
-        lambda jp: 0.5 * float(np.sum(jp.xprime ** 2)) + float(np.sum(jp.x ** 2)))
+        lambda jp: 0.5 * np.sum(jp.xprime ** 2, axis=(-2, -1)) + np.sum(jp.x ** 2, axis=-1))
     kappa = Configuration(tuple(fields.random_polynomial(rng, 2, 2)
                                 for _ in range(2)), smoothness=99)
     v = VelocityField(tuple(fields.random_polynomial(rng, 2, 2) for _ in range(2)))

@@ -28,7 +28,7 @@ def test_fiber_spec_rejects_nonpositive():
 
 class TestProlongation:
     def test_quadratic_scalar(self):
-        kappa = Configuration((ScalarField(lambda X: X[..., 0] ** 2, smoothness=99),))
+        kappa = Configuration((ScalarField(lambda X: X[..., 0] ** 2),))
         jet = jet_prolong_config(kappa, UNIT1)
         jp = jet.at([0.5])
         assert jp.x[0] == pytest.approx(0.25, abs=1e-12)
@@ -43,8 +43,7 @@ class TestProlongation:
 
     def test_periodic_component(self):
         dom = ChartDomain.unit(1, periodic=[0])
-        kappa = Configuration((ScalarField(lambda X: np.sin(2 * math.pi * X[..., 0]),
-                                           smoothness=99),))
+        kappa = Configuration((ScalarField(lambda X: np.sin(2 * math.pi * X[..., 0])),))
         jp = jet_prolong_config(kappa, dom).at([0.0])
         assert jp.xprime[0, 0] == pytest.approx(2 * math.pi, rel=1e-7)
 
@@ -132,7 +131,7 @@ class TestHolonomy:
         # perturbing the gradient block by an eps bump moves the residual by
         # about eps
         eps = 1e-3
-        kappa = Configuration((ScalarField(lambda X: X[..., 0] ** 3, smoothness=99),))
+        kappa = Configuration((ScalarField(lambda X: X[..., 0] ** 3),))
         jet = jet_prolong_config(kappa, UNIT1)
         bump = fields.poly_bump_field([(0.2, 0.8)], eps)
 
