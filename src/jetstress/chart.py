@@ -7,10 +7,12 @@ here is the oracle those identities are checked against.
 Axes are 0-based.  A field is any callable taking a coordinate array X of
 shape (..., d) and returning the values of shape (...): one call evaluates a
 whole node set or probe lattice, and a single point is the case ... = ().
-The jet-coordinate densities of `material` follow the same contract.  This
-module is the one place that walks a point set
-(`sup_norm` over a probe lattice, the quadrature sum) or builds a gradient
-block (`gradient`); the identity modules compose these.
+The jet-coordinate densities of `material` follow the same contract.  A
+coefficient handed to the quadrature may also carry leading axes in front of
+the node axis, (..., N), and then yields one integral per leading index.
+This module is the one place that walks a point set (`sup_norm` over a probe
+lattice, the quadrature sum) or builds a gradient block (`gradient`); the
+identity modules compose these.
 """
 from __future__ import annotations
 
@@ -258,13 +260,21 @@ def volume_nodes(dom: ChartDomain, rule: QuadratureRule) -> tuple[np.ndarray, np
     return _tensor_nodes([rule.axis_nodes(lo, hi) for lo, hi in dom.bounds])
 
 
-def _weighted_sum(coeff: Evaluator, nodes: tuple[np.ndarray, np.ndarray]) -> float:
+def _weighted_sum(coeff: Evaluator, nodes: tuple[np.ndarray, np.ndarray]):
+    """Quadrature sum of coeff over (points, weights): a float for values of
+    shape (N,) or a constant, an array of shape (...) for values (..., N),
+    one integral per leading index.  Each integral is the same dot product
+    as the one of a lone (N,) row, so it is bitwise equal to it."""
     pts, wts = nodes
-    return float(np.dot(wts, np.broadcast_to(coeff(pts), wts.shape)))
+    vals = np.asarray(coeff(pts), dtype=float)
+    rows = np.broadcast_to(vals, vals.shape[:-1] + wts.shape).reshape(-1, len(wts))
+    sums = [np.dot(wts, row) for row in rows]
+    return float(sums[0]) if vals.ndim < 2 else np.array(sums).reshape(vals.shape[:-1])
 
 
-def integrate_volume(coeff: Evaluator, dom: ChartDomain, rule: QuadratureRule = QuadratureRule()) -> float:
-    """Quadrature of a volume-form coefficient against dX over the box."""
+def integrate_volume(coeff: Evaluator, dom: ChartDomain, rule: QuadratureRule = QuadratureRule()):
+    """Quadrature of a volume-form coefficient against dX over the box; a
+    coefficient with leading axes (..., N) gives one integral per leading index."""
     return _weighted_sum(coeff, volume_nodes(dom, rule))
 
 

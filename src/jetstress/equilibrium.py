@@ -58,6 +58,6 @@ def weak_strong_consistency(s: VariationalStressDensity, v: VelocityField,
     represents (body -div(s), Cauchy tractions on the faces)|; the two sides
     share only the quadrature: jet pairing on one, divergence plus Cauchy
     traction on the other."""
-    lhs = virtual_power_of_stress(s, v, dom, rule, scheme)
+    lhs = virtual_power_of_stress(s, (v,), dom, rule, scheme)[0]
     rhs = virtual_power_of_force(force_from_stress(s, dom, scheme), v, dom, rule)
     return abs(lhs - rhs)

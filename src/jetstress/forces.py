@@ -82,7 +82,7 @@ def virtual_power_of_force(f: ForceFunctional, v: VelocityField, dom: ChartDomai
         t = f.surface.on_face(face, m)
 
         def face_coeff(X: np.ndarray, t=t) -> np.ndarray:
-            return sum(ti(X) * vi(X) for ti, vi in zip(t, v.components))
+            return np.sum(np.stack([ti(X) for ti in t], axis=-1) * v.value(X), axis=-1)
 
         total += integrate_face(face_coeff, face, dom, rule)
     return total

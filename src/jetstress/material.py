@@ -209,7 +209,7 @@ def energy_variation_residual(kappa: Configuration, v: VelocityField,
 
     psi = constitutive_from_lagrangian(L, kappa.fiber_dim, dom.dim)
     s = pullback_constitutive(psi, kappa, dom, scheme)
-    rhs = virtual_power_of_stress(s, v, dom, rule, scheme)
+    rhs = virtual_power_of_stress(s, (v,), dom, rule, scheme)[0]
     return abs(lhs - rhs)
 
 

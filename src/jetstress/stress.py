@@ -9,6 +9,9 @@ derivatives of the composed coefficient fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .chart import (
     BoundaryFace,
@@ -16,12 +19,13 @@ from .chart import (
     FDScheme,
     QuadratureRule,
     ScalarField,
+    gradient,
     integrate_volume,
     partial_derivative,
 )
 from .fields import scaled
 from .forces import BodyForceDensity, SurfaceForceDensity
-from .sections import VelocityField, VelocityJet, jet_prolong_velocity
+from .sections import VelocityField, VelocityJet
 
 
 @dataclass(frozen=True)
@@ -44,6 +48,14 @@ class VariationalStressDensity:
     def base_dim(self) -> int:
         return len(self.s_mixed[0])
 
+    def value(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """The stacked blocks (s_i) of shape (..., m) and (s_i^a) of shape
+        (..., m, d) at X (..., d), each component field evaluated once."""
+        lower = np.stack([f(X) for f in self.s_lower], axis=-1)
+        mixed = np.stack([np.stack([f(X) for f in row], axis=-1) for row in self.s_mixed],
+                         axis=-2)
+        return lower, mixed
+
 
 @dataclass(frozen=True)
 class TractionStressDensity:
@@ -62,27 +74,42 @@ class TractionStressDensity:
 
 def stress_pairing(s: VariationalStressDensity, eta: VelocityJet, X):
     """Density coefficient s_i * xdot^i + s_i^a * xdot'^i_a at one point (a
-    float) or at each point of a set (an array)."""
+    float) or at each point of a set (an array).  The jet blocks may carry
+    leading axes in front of X's point axes, one index per velocity; the
+    stress is evaluated once and its blocks broadcast against them."""
     if s.fiber_dim != eta.fiber_dim:
         raise ValueError("fiber dimensions differ")
     xd, xdp = eta(X)
     if xdp.shape[-2:] != (s.fiber_dim, s.base_dim):
         raise ValueError("gradient block shape mismatch")
+    lower, mixed = s.value(X)
     total = 0.0
     for i in range(s.fiber_dim):
-        total += s.s_lower[i](X) * xd[..., i]
+        total += lower[..., i] * xd[..., i]
         for a in range(s.base_dim):
-            total += s.s_mixed[i][a](X) * xdp[..., i, a]
+            total += mixed[..., i, a] * xdp[..., i, a]
     return total
 
 
-def virtual_power_of_stress(s: VariationalStressDensity, v: VelocityField,
+def virtual_power_of_stress(s: VariationalStressDensity, vs: Sequence[VelocityField],
                             dom: ChartDomain,
                             rule: QuadratureRule = QuadratureRule(),
-                            scheme: FDScheme = FDScheme()) -> float:
-    """Virtual power expended by the stress on a velocity field: the volume
-    integral of the pairing with the jet prolongation of v."""
-    eta = jet_prolong_velocity(v, dom, scheme)
+                            scheme: FDScheme = FDScheme()) -> np.ndarray:
+    """Virtual power expended by the stress on each velocity field of vs: the
+    volume integral of the pairing with the jet prolongation of v, shape
+    (len(vs),).  The pairing is linear in the velocity, so one evaluation of
+    the stress on the volume nodes serves every velocity: their jets are
+    stacked on a leading axis and contracted with it in one quadrature pass."""
+    if not vs:
+        raise ValueError("no velocity fields")
+    if any(v.fiber_dim != s.fiber_dim for v in vs):
+        raise ValueError("fiber dimensions differ")
+
+    def jets(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return (np.stack([v.value(X) for v in vs]),
+                np.stack([gradient(v.components, X, dom, scheme) for v in vs]))
+
+    eta = VelocityJet(jets, s.fiber_dim)
     return integrate_volume(lambda X: stress_pairing(s, eta, X), dom, rule)
 
 

@@ -129,6 +129,27 @@ class TestIntegration:
         with pytest.raises(ValueError):
             integrate_boundary(fields.constant_field(1.0), BoundaryFace(0, "upper"), dom)
 
+    def test_leading_axes_give_one_integral_per_row(self):
+        rng = np.random.default_rng(9)
+        fs = [fields.random_polynomial(rng, 2, 3) for _ in range(6)]
+        rule = QuadratureRule(5, panels=2)
+        rows = [integrate_volume(f, UNIT2, rule) for f in fs]
+        stacked = integrate_volume(lambda X: np.stack([f(X) for f in fs]), UNIT2, rule)
+        assert stacked.shape == (6,)
+        assert all(stacked[j] == rows[j] for j in range(6))
+        grid = integrate_volume(lambda X: np.stack([f(X) for f in fs]).reshape(2, 3, -1),
+                                UNIT2, rule)
+        assert np.array_equal(grid, stacked.reshape(2, 3))
+
+    def test_constant_coefficient_broadcasts(self):
+        assert integrate_volume(lambda X: 2.0, UNIT2) == pytest.approx(2.0, abs=1e-14)
+        per_row = integrate_volume(lambda X: np.array([[1.0], [-3.0]]), UNIT2)
+        assert per_row == pytest.approx([1.0, -3.0], abs=1e-14)
+
+    def test_leading_axes_must_end_in_the_node_axis(self):
+        with pytest.raises(ValueError):
+            integrate_volume(lambda X: np.ones((len(X), 3)), UNIT2)
+
 
 class TestStokes:
     def test_coordinate_form(self):

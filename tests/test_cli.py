@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -42,6 +43,10 @@ TINY = {
     "maxwell_vacuum": {"samples": 3},
     "pform_leibniz": {"q": 2, "samples": 3},
 }
+
+# the step floor: h = eps/2 leaves the coordinate 1.0 in place, the next float moves it
+STALLED_STEP = 2.0 ** -53
+SMALLEST_STEP = math.nextafter(STALLED_STEP, 1.0)
 
 
 def write_config(tmp_path, values: dict) -> str:
@@ -95,6 +100,8 @@ class TestConfig:
         {"fd_step": 0.25},
         {"fd_step": 0.0},
         {"fd_step": 0.5, "fd_order": 2},
+        {"fd_step": STALLED_STEP},
+        {"fd_step": 5e-324},
         {"seed": -1},
         {"d": 0},
         {"m": 0},
@@ -107,9 +114,20 @@ class TestConfig:
         {"count": 1, "samples": 2},
         {"fd_step": 0.2, "fd_order": 4},
         {"fd_step": 0.45, "fd_order": 2},
+        {"fd_step": SMALLEST_STEP},
     ], ids=repr)
     def test_edge_configs_accepted(self, values):
         build_config({"scenario": "divergence_identity", **values})
+
+    @pytest.mark.parametrize("fd_order", [2, 4])
+    @pytest.mark.parametrize("scenario", sorted(REGISTRY))
+    def test_smallest_step_runs_without_warnings(self, scenario, fd_order, tmp_path, capsys,
+                                                 recwarn):
+        path = write_config(tmp_path, {"scenario": scenario, **TINY[scenario],
+                                       "fd_step": repr(SMALLEST_STEP), "fd_order": fd_order})
+        assert main(["--config", path]) in (EXIT_PASS, EXIT_FAIL)
+        assert json.loads(capsys.readouterr().out, parse_constant=reject_constant)["checks"]
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_config_file_parsing(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -120,7 +120,7 @@ class TestWeakStrong:
         s = exterior_jet(tau, UNIT2)
         rng = np.random.default_rng(6)
         v = VelocityField((fields.random_polynomial(rng, 2, 3),))
-        assert abs(virtual_power_of_stress(s, v, UNIT2, rule)) <= 1e-8
+        assert abs(virtual_power_of_stress(s, (v,), UNIT2, rule)[0]) <= 1e-8
         assert weak_strong_consistency(s, v, UNIT2, rule) <= 1e-8
 
     def test_force_representation_matches_stress_power(self):
@@ -131,7 +131,7 @@ class TestWeakStrong:
         for _ in range(3):
             v = VelocityField((fields.random_polynomial(rng, 2, 3),))
             pf = virtual_power_of_force(f, v, UNIT2)
-            ps = virtual_power_of_stress(s, v, UNIT2)
+            ps = virtual_power_of_stress(s, (v,), UNIT2)[0]
             assert abs(pf - ps) <= 1e-6
 
 

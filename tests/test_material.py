@@ -24,7 +24,6 @@ from jetstress.material import (
     total_energy,
 )
 from jetstress.sections import Configuration, JetPoint, VelocityField
-from jetstress.stress import virtual_power_of_stress
 
 UNIT1 = ChartDomain.unit(1)
 UNIT2 = ChartDomain.unit(2)

@@ -89,13 +89,13 @@ class TestVirtualPower:
     def test_zero(self):
         s = const_stress([0.0], [[0.0]])
         v = VelocityField((fields.coordinate_field(0),))
-        assert virtual_power_of_stress(s, v, UNIT1) == 0.0
+        assert virtual_power_of_stress(s, (v,), UNIT1)[0] == 0.0
 
     def test_gradient_pairing(self):
         # s_1^1 = 1, v = X: power = integral of dv/dX = 1
         s = const_stress([0.0], [[1.0]])
         v = VelocityField((fields.coordinate_field(0),))
-        assert virtual_power_of_stress(s, v, UNIT1) == pytest.approx(1.0, abs=1e-10)
+        assert virtual_power_of_stress(s, (v,), UNIT1)[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_homogeneous_in_stress(self):
         rng = np.random.default_rng(4)
@@ -104,9 +104,74 @@ class TestVirtualPower:
             tuple(fields.scaled(f, 2.0) for f in s.s_lower),
             tuple(tuple(fields.scaled(f, 2.0) for f in row) for row in s.s_mixed))
         v = VelocityField((fields.random_polynomial(rng, 1, 3),))
-        p1 = virtual_power_of_stress(s, v, UNIT1)
-        p2 = virtual_power_of_stress(s2, v, UNIT1)
+        p1 = virtual_power_of_stress(s, (v,), UNIT1)[0]
+        p2 = virtual_power_of_stress(s2, (v,), UNIT1)[0]
         assert p2 == pytest.approx(2 * p1, rel=1e-12)
+
+    def test_stress_evaluated_once_for_any_number_of_velocities(self):
+        rng = np.random.default_rng(17)
+        d, m = 2, 2
+        base = random_stress(rng, d, m)
+        calls = {}
+
+        def counted(f, key):
+            calls[key] = 0
+
+            def ev(X):
+                calls[key] += 1
+                return f(X)
+
+            return ScalarField(ev)
+
+        s = VariationalStressDensity(
+            tuple(counted(f, ("lower", i)) for i, f in enumerate(base.s_lower)),
+            tuple(tuple(counted(f, ("mixed", i, a)) for a, f in enumerate(row))
+                  for i, row in enumerate(base.s_mixed)))
+        vs = [VelocityField(tuple(fields.random_polynomial(rng, d, 3) for _ in range(m)))
+              for _ in range(5)]
+        rule = QuadratureRule(4, panels=2)
+
+        def evaluate(velocities):
+            calls.update(dict.fromkeys(calls, 0))
+            return virtual_power_of_stress(s, velocities, UNIT2, rule), dict(calls)
+
+        _, one = evaluate(vs[:1])
+        powers, five = evaluate(vs)
+        assert all(n > 0 for n in one.values())
+        assert five == one
+        singles = [evaluate([v])[0] for v in vs]
+        assert powers.shape == (5,) and all(p.shape == (1,) for p in singles)
+        assert all(powers[j] == singles[j][0] for j in range(5))
+
+    def test_value_blocks_match_component_fields(self):
+        rng = np.random.default_rng(5)
+        s = random_stress(rng, 2, 3)
+        X = uniform_grid(UNIT2, 4)
+        lower, mixed = s.value(X)
+        assert lower.shape == (16, 3) and mixed.shape == (16, 3, 2)
+        for i in range(3):
+            assert np.array_equal(lower[:, i], s.s_lower[i](X))
+            for a in range(2):
+                assert np.array_equal(mixed[:, i, a], s.s_mixed[i][a](X))
+
+    def test_pairing_broadcasts_over_a_leading_velocity_axis(self):
+        rng = np.random.default_rng(8)
+        s = random_stress(rng, 2, 2)
+        etas = [jet_prolong_velocity(
+            VelocityField(tuple(fields.random_polynomial(rng, 2, 3) for _ in range(2))), UNIT2)
+            for _ in range(3)]
+        X = uniform_grid(UNIT2, 5)
+        stacked = VelocityJet(lambda X: tuple(np.stack(b) for b in zip(*(e(X) for e in etas))), 2)
+        paired = stress_pairing(s, stacked, X)
+        assert paired.shape == (3, 25)
+        for j, eta in enumerate(etas):
+            assert np.array_equal(paired[j], stress_pairing(s, eta, X))
+
+    @pytest.mark.parametrize("vs", [[], [VelocityField((fields.constant_field(1.0),))]],
+                             ids=["empty", "fiber-mismatch"])
+    def test_bad_velocity_sequence_rejected(self, vs):
+        with pytest.raises(ValueError):
+            virtual_power_of_stress(random_stress(np.random.default_rng(1), 2, 2), vs, UNIT2)
 
 
 class TestTractionExtract:
@@ -231,6 +296,6 @@ def test_null_stress_zero_virtual_power():
         ((fields.poly_bump_field([(0.25, 0.75)], 1.3),),))
     s = exterior_jet(tau, UNIT1)
     rng = np.random.default_rng(2)
-    for _ in range(3):
-        v = VelocityField((fields.random_polynomial(rng, 1, 3),))
-        assert abs(virtual_power_of_stress(s, v, UNIT1, rule)) <= 1e-8
+    vs = [VelocityField((fields.random_polynomial(rng, 1, 3),)) for _ in range(3)]
+    for power in virtual_power_of_stress(s, vs, UNIT1, rule):
+        assert abs(power) <= 1e-8
