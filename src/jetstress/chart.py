@@ -12,7 +12,9 @@ coefficient handed to the quadrature may also carry leading axes in front of
 the node axis, (..., N), and then yields one integral per leading index.
 This module is the one place that walks a point set (`sup_norm` over a probe
 lattice, the quadrature sum) or builds a gradient block (`gradient`); the
-identity modules compose these.
+identity modules compose these.  A finite difference calls its field once,
+on the stencil rows of every point stacked into one point set, so a nested
+derivative such as d(*dA) also costs one call of the innermost field.
 """
 from __future__ import annotations
 
@@ -163,6 +165,24 @@ def _stencil_shifts(x: np.ndarray, lo: float, hi: float, h: float, r: int) -> np
     return shift
 
 
+def _probes(x: np.ndarray, offsets: np.ndarray, h: float, lo: float, hi: float,
+            periodic: bool) -> np.ndarray:
+    """Probe coordinates x + o*h along one axis, wrapped into [lo, hi) on a
+    periodic axis and clamped to [lo, hi] on a boundary axis.  Its
+    temporaries are freed on return, before the field sees the block.
+
+    The wrap is lo + (probe - lo) % (hi - lo).  numpy's float % is slow, and
+    it returns a value already in [0, hi - lo) unchanged, so only the probes
+    outside one period go through it."""
+    probe = x + offsets * h
+    if not periodic:
+        return np.minimum(np.maximum(probe, lo), hi)
+    t = probe - lo
+    outside = (t < 0) | (t >= hi - lo)
+    t[outside] %= hi - lo
+    return lo + t
+
+
 def partial_derivative(
     f: Evaluator,
     axis: int,
@@ -174,8 +194,10 @@ def partial_derivative(
     p: a float for one point (d,), an array of shape (...) for points (..., d).
 
     Wraps coordinates on periodic axes; uses one-sided stencils of the same
-    order within stencil reach of a boundary face.  Rows that share a stencil
-    are evaluated together, one call of f per stencil offset.
+    order within stencil reach of a boundary face.  Every stencil row of every
+    point goes to f in one call, on an ((order + 1) * N, d) block, so a nested
+    derivative hands its inner derivative all of its rows at once; rows that
+    share a stencil then share its weights.
     """
     d = dom.dim
     if not 0 <= axis < d:
@@ -187,24 +209,28 @@ def partial_derivative(
     p = np.asarray(p, dtype=float)
     P = p.reshape(-1, d)
     r = scheme.order // 2
+    x = P[:, axis]
     periodic = dom.is_periodic(axis)
-    shifts = np.zeros(len(P), dtype=int) if periodic else _stencil_shifts(P[:, axis], lo, hi, h, r)
+    if periodic:
+        shifts, groups = 0, [(0, slice(None))]
+    else:
+        shifts = _stencil_shifts(x, lo, hi, h, r)
+        groups = [(s, rows) for s in range(-r, r + 1) if (rows := shifts == s).any()]
+        if len(groups) == 1:
+            groups = [(groups[0][0], slice(None))]
+
+    # block[j] probes each point at offset shift - r + j along the axis
+    block = np.empty((2 * r + 1,) + P.shape)
+    block[:] = P
+    block[..., axis] = _probes(x, shifts + np.arange(-r, r + 1)[:, None], h, lo, hi, periodic)
+    vals = np.asarray(f(block.reshape(-1, d)), dtype=float).reshape(2 * r + 1, len(P))
 
     out = np.empty(len(P))
-    for shift in range(-r, r + 1):
-        rows = shifts == shift
-        if not rows.any():
-            continue
-        base = P[rows]
+    for shift, rows in groups:
         offsets = tuple(range(shift - r, shift + r + 1))
         total = 0
-        for wj, o in zip(_fd_weights(offsets), offsets):
-            X = base.copy()
-            if periodic:
-                X[:, axis] = lo + (X[:, axis] + o * h - lo) % (hi - lo)
-            else:
-                X[:, axis] = np.minimum(np.maximum(X[:, axis] + o * h, lo), hi)
-            total = total + wj * f(X)
+        for wj, v in zip(_fd_weights(offsets), vals):
+            total = total + wj * v[rows]
         out[rows] = total / h
     return float(out[0]) if p.ndim == 1 else out.reshape(p.shape[:-1])
 

@@ -12,6 +12,8 @@ from jetstress.chart import (
     FDScheme,
     QuadratureRule,
     ScalarField,
+    _fd_weights,
+    _stencil_shifts,
     face_grid,
     face_nodes,
     gradient,
@@ -287,6 +289,92 @@ class TestBatchedProtocol:
         pts = uniform_grid(UNIT2, 6)
         assert np.array_equal(partial_derivative(df, 0, pts, UNIT2),
                               self.rowwise(df, 0, pts, UNIT2))
+
+    @staticmethod
+    def counted(f):
+        """f as a ScalarField that records the row count of each call."""
+        rows = []
+
+        def ev(X):
+            rows.append(len(X))
+            return f(X)
+
+        return ScalarField(ev), rows
+
+    @staticmethod
+    def per_offset(f, axis, P_, dom, scheme=FDScheme()):
+        """Reference derivative with one call of f per stencil offset of each
+        shift group, summed in offset order with the group's weights."""
+        h, r = scheme.step, scheme.order // 2
+        lo, hi = dom.bounds[axis]
+        periodic = dom.is_periodic(axis)
+        shifts = np.zeros(len(P_), int) if periodic else _stencil_shifts(P_[:, axis], lo, hi, h, r)
+        out = np.empty(len(P_))
+        for shift in range(-r, r + 1):
+            rows = shifts == shift
+            if not rows.any():
+                continue
+            offsets = tuple(range(shift - r, shift + r + 1))
+            total = 0
+            for wj, o in zip(_fd_weights(offsets), offsets):
+                X = P_[rows].copy()
+                if periodic:
+                    X[:, axis] = lo + (X[:, axis] + o * h - lo) % (hi - lo)
+                else:
+                    X[:, axis] = np.minimum(np.maximum(X[:, axis] + o * h, lo), hi)
+                total = total + wj * f(X)
+            out[rows] = total / h
+        return out
+
+    def test_one_call_on_a_periodic_axis(self):
+        dom = ChartDomain.unit(2, periodic=[0])
+        f = fields.sine_field([(0.7, (2, 1), 0.3), (-1.1, (1, -1), 1.0)])
+        # rows within stencil reach of the seam, and rows a period or more away
+        pts = np.array([[0.0, 0.5], [1e-4, 0.2], [0.5, 0.5], [0.9995, 0.0], [0.999, 1.0],
+                        [-0.3, 0.1], [1.7, 0.4], [-2.0, 0.6]])
+        counted, rows = self.counted(f)
+        got = partial_derivative(counted, 0, pts, dom)
+        assert rows == [5 * len(pts)]
+        assert np.array_equal(got, self.per_offset(f, 0, pts, dom))
+
+    @pytest.mark.parametrize("scheme", [FDScheme(1e-3, 4), FDScheme(2e-2, 2)])
+    def test_one_call_across_shift_groups(self, scheme):
+        f = fields.random_polynomial(np.random.default_rng(10), 2, 4)
+        x0 = np.array([0.0, 1e-3, 2e-3, 0.5, 0.3, 1 - 2e-3, 1 - 1e-3, 1.0, 0.02, 0.97])
+        pts = np.stack([x0, np.linspace(0.0, 1.0, len(x0))], axis=-1)
+        r = scheme.order // 2
+        assert len(set(_stencil_shifts(x0, 0.0, 1.0, scheme.step, r))) >= 3
+        counted, rows = self.counted(f)
+        got = partial_derivative(counted, 0, pts, UNIT2, scheme)
+        assert rows == [(scheme.order + 1) * len(pts)]
+        assert np.array_equal(got, self.per_offset(f, 0, pts, UNIT2, scheme))
+
+    def test_one_call_at_a_single_point(self):
+        f = fields.random_polynomial(np.random.default_rng(11), 2, 3)
+        counted, rows = self.counted(f)
+        got = partial_derivative(counted, 1, [0.3, 1.0], UNIT2)
+        assert isinstance(got, float) and rows == [5]
+        assert got == self.per_offset(f, 1, np.array([[0.3, 1.0]]), UNIT2)[0]
+
+    def test_nested_derivative_calls_the_inner_field_once(self):
+        f = fields.random_polynomial(np.random.default_rng(12), 2, 3)
+        inner, inner_rows = self.counted(f)
+        outer, outer_rows = self.counted(lambda X: partial_derivative(inner, 1, X, UNIT2))
+        pts = uniform_grid(UNIT2, 6)
+        got = partial_derivative(outer, 0, pts, UNIT2)
+        assert outer_rows == [5 * len(pts)] and inner_rows == [25 * len(pts)]
+        ref_inner = ScalarField(lambda X: self.per_offset(f, 1, X, UNIT2))
+        assert np.array_equal(got, self.per_offset(ref_inner, 0, pts, UNIT2))
+
+    @pytest.mark.parametrize("dom", [UNIT2, ChartDomain.unit(2, periodic=[0])])
+    def test_empty_and_multi_axis_point_sets(self, dom):
+        f = fields.random_polynomial(np.random.default_rng(13), 2, 3)
+        assert partial_derivative(f, 0, np.empty((0, 2)), dom).shape == (0,)
+        pts = np.random.default_rng(14).uniform(0, 1, (2, 3, 2))
+        pts[0, 0, 0] = 0.0
+        got = partial_derivative(f, 0, pts, dom)
+        assert got.shape == (2, 3)
+        assert np.array_equal(got.ravel(), partial_derivative(f, 0, pts.reshape(-1, 2), dom))
 
     def test_gradient_block_shape(self):
         fs = [fields.coordinate_field(0), fields.constant_field(1.0),
