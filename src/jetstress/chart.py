@@ -14,7 +14,8 @@ This module is the one place that walks a point set (`sup_norm` over a probe
 lattice, the quadrature sum) or builds a gradient block (`gradient`); the
 identity modules compose these.  A finite difference calls its field once,
 on the stencil rows of every point stacked into one point set, so a nested
-derivative such as d(*dA) also costs one call of the innermost field.
+derivative such as d(*dA) also costs one call of the innermost field; only
+a block of more than _FD_ROWS rows is split into slices of that many.
 """
 from __future__ import annotations
 
@@ -183,6 +184,12 @@ def _probes(x: np.ndarray, offsets: np.ndarray, h: float, lo: float, hi: float,
     return lo + t
 
 
+# most stencil rows handed to f in one call; without a limit the peak memory
+# of a nested derivative grows with (order + 1)**2 times the lattice, and at
+# this one the default scenarios run no slower than without (BENCH_7.json)
+_FD_ROWS = 2**14
+
+
 def partial_derivative(
     f: Evaluator,
     axis: int,
@@ -197,7 +204,9 @@ def partial_derivative(
     order within stencil reach of a boundary face.  Every stencil row of every
     point goes to f in one call, on an ((order + 1) * N, d) block, so a nested
     derivative hands its inner derivative all of its rows at once; rows that
-    share a stencil then share its weights.
+    share a stencil then share its weights.  A block of more than _FD_ROWS
+    rows goes to f in consecutive slices of that many rows, which bounds the
+    memory of a nested derivative on a large lattice.
     """
     d = dom.dim
     if not 0 <= axis < d:
@@ -216,14 +225,15 @@ def partial_derivative(
     else:
         shifts = _stencil_shifts(x, lo, hi, h, r)
         groups = [(s, rows) for s in range(-r, r + 1) if (rows := shifts == s).any()]
-        if len(groups) == 1:
-            groups = [(groups[0][0], slice(None))]
 
     # block[j] probes each point at offset shift - r + j along the axis
     block = np.empty((2 * r + 1,) + P.shape)
     block[:] = P
     block[..., axis] = _probes(x, shifts + np.arange(-r, r + 1)[:, None], h, lo, hi, periodic)
-    vals = np.asarray(f(block.reshape(-1, d)), dtype=float).reshape(2 * r + 1, len(P))
+    flat = block.reshape(-1, d)
+    vals = np.concatenate([np.asarray(f(flat[i:i + _FD_ROWS]), dtype=float)
+                           for i in range(0, max(len(flat), 1), _FD_ROWS)])
+    vals = vals.reshape(2 * r + 1, len(P))
 
     out = np.empty(len(P))
     for shift, rows in groups:

@@ -106,13 +106,8 @@ def virtual_power_of_stress(s: VariationalStressDensity, vs: Sequence[VelocityFi
         raise ValueError("fiber dimensions differ")
 
     def jets(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # filled in place, so one velocity's jet at a time is alive beside the blocks
-        values = np.empty((len(vs),) + X.shape[:-1] + (s.fiber_dim,))
-        grads = np.empty(values.shape + (dom.dim,))
-        for k, v in enumerate(vs):
-            values[k] = v.value(X)
-            grads[k] = gradient(v.components, X, dom, scheme)
-        return values, grads
+        return (np.stack([v.value(X) for v in vs]),
+                np.stack([gradient(v.components, X, dom, scheme) for v in vs]))
 
     eta = VelocityJet(jets, s.fiber_dim)
     return integrate_volume(lambda X: stress_pairing(s, eta, X), dom, rule)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from jetstress import fields
+from jetstress import chart, fields
 from jetstress.chart import (
     BoundaryFace,
     ChartDomain,
@@ -363,6 +363,18 @@ class TestBatchedProtocol:
         pts = uniform_grid(UNIT2, 6)
         got = partial_derivative(outer, 0, pts, UNIT2)
         assert outer_rows == [5 * len(pts)] and inner_rows == [25 * len(pts)]
+        ref_inner = ScalarField(lambda X: self.per_offset(f, 1, X, UNIT2))
+        assert np.array_equal(got, self.per_offset(ref_inner, 0, pts, UNIT2))
+
+    def test_rows_beyond_the_limit_go_in_chunks(self, monkeypatch):
+        monkeypatch.setattr(chart, "_FD_ROWS", 7)
+        f = fields.random_polynomial(np.random.default_rng(15), 2, 3)
+        inner, inner_rows = self.counted(f)
+        outer, outer_rows = self.counted(lambda X: partial_derivative(inner, 1, X, UNIT2))
+        pts = uniform_grid(UNIT2, 6)
+        got = partial_derivative(outer, 0, pts, UNIT2)
+        assert max(outer_rows + inner_rows) == 7
+        assert sum(outer_rows) == 5 * len(pts) and sum(inner_rows) == 25 * len(pts)
         ref_inner = ScalarField(lambda X: self.per_offset(f, 1, X, UNIT2))
         assert np.array_equal(got, self.per_offset(ref_inner, 0, pts, UNIT2))
 
