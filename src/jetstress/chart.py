@@ -11,11 +11,14 @@ The jet-coordinate densities of `material` follow the same contract.  A
 coefficient handed to the quadrature may also carry leading axes in front of
 the node axis, (..., N), and then yields one integral per leading index.
 This module is the one place that walks a point set (`sup_norm` over a probe
-lattice, the quadrature sum) or builds a gradient block (`gradient`); the
-identity modules compose these.  A finite difference calls its field once,
-on the stencil rows of every point stacked into one point set, so a nested
-derivative such as d(*dA) also costs one call of the innermost field; only
-a block of more than _FD_ROWS rows is split into slices of that many.
+lattice, the quadrature sum), builds a gradient block (`gradient`) or sums a
+divergence (`fd_divergence`); the identity modules compose these.  A finite
+difference calls its field once, on the stencil rows of every point stacked
+into one point set, so a nested derivative such as d(*dA) also costs one call
+of the innermost field; only a block of more than _FD_ROWS rows is split into
+slices of that many.  `partial_derivative` and `gradient` share one code
+path (`_stencil` builds the block, `_differentiate` evaluates and weighs it);
+`gradient` builds each axis's block once and hands it to all of its fields.
 """
 from __future__ import annotations
 
@@ -190,6 +193,55 @@ def _probes(x: np.ndarray, offsets: np.ndarray, h: float, lo: float, hi: float,
 _FD_ROWS = 2**14
 
 
+def _stencil(P: np.ndarray, axis: int, dom: ChartDomain,
+             scheme: FDScheme) -> tuple[np.ndarray, list]:
+    """The ((order + 1) * N, d) stencil block of a derivative along `axis` at
+    the points P (N, d), read-only because every field differentiated at P
+    along `axis` is handed the same block, and its shift groups: the
+    (shift, rows) pairs whose rows share one stencil.  Row j * N + n probes
+    point n at offset shift - r + j along the axis."""
+    d = dom.dim
+    if not 0 <= axis < d:
+        raise ValueError(f"axis {axis} out of range for dim {d}")
+    h = scheme.step
+    lo, hi = dom.bounds[axis]
+    if h * scheme.order >= hi - lo:
+        raise ValueError("FD step too large for axis extent")
+    r = scheme.order // 2
+    x = P[:, axis]
+    periodic = dom.is_periodic(axis)
+    if periodic:
+        shifts, groups = 0, [(0, slice(None))]
+    else:
+        shifts = _stencil_shifts(x, lo, hi, h, r)
+        groups = [(s, rows) for s in range(-r, r + 1) if (rows := shifts == s).any()]
+    block = np.empty((2 * r + 1,) + P.shape)
+    block[:] = P
+    block[..., axis] = _probes(x, shifts + np.arange(-r, r + 1)[:, None], h, lo, hi, periodic)
+    flat = block.reshape(-1, d)
+    flat.flags.writeable = False
+    return flat, groups
+
+
+def _differentiate(f: Evaluator, block: np.ndarray, groups: list,
+                   scheme: FDScheme) -> np.ndarray:
+    """(N,) derivative values of f from its stencil block: f is called on
+    the block in slices of at most _FD_ROWS rows, and each shift group's rows
+    are summed in offset order with that group's weights, then divided by h."""
+    r = scheme.order // 2
+    vals = np.concatenate([np.asarray(f(block[i:i + _FD_ROWS]), dtype=float)
+                           for i in range(0, max(len(block), 1), _FD_ROWS)])
+    vals = vals.reshape(2 * r + 1, len(block) // (2 * r + 1))
+    out = np.empty(vals.shape[1])
+    for shift, rows in groups:
+        offsets = tuple(range(shift - r, shift + r + 1))
+        total = 0
+        for wj, v in zip(_fd_weights(offsets), vals):
+            total = total + wj * v[rows]
+        out[rows] = total / scheme.step
+    return out
+
+
 def partial_derivative(
     f: Evaluator,
     axis: int,
@@ -208,49 +260,34 @@ def partial_derivative(
     rows goes to f in consecutive slices of that many rows, which bounds the
     memory of a nested derivative on a large lattice.
     """
-    d = dom.dim
-    if not 0 <= axis < d:
-        raise ValueError(f"axis {axis} out of range for dim {d}")
-    h = scheme.step
-    lo, hi = dom.bounds[axis]
-    if h * scheme.order >= hi - lo:
-        raise ValueError("FD step too large for axis extent")
     p = np.asarray(p, dtype=float)
-    P = p.reshape(-1, d)
-    r = scheme.order // 2
-    x = P[:, axis]
-    periodic = dom.is_periodic(axis)
-    if periodic:
-        shifts, groups = 0, [(0, slice(None))]
-    else:
-        shifts = _stencil_shifts(x, lo, hi, h, r)
-        groups = [(s, rows) for s in range(-r, r + 1) if (rows := shifts == s).any()]
-
-    # block[j] probes each point at offset shift - r + j along the axis
-    block = np.empty((2 * r + 1,) + P.shape)
-    block[:] = P
-    block[..., axis] = _probes(x, shifts + np.arange(-r, r + 1)[:, None], h, lo, hi, periodic)
-    flat = block.reshape(-1, d)
-    vals = np.concatenate([np.asarray(f(flat[i:i + _FD_ROWS]), dtype=float)
-                           for i in range(0, max(len(flat), 1), _FD_ROWS)])
-    vals = vals.reshape(2 * r + 1, len(P))
-
-    out = np.empty(len(P))
-    for shift, rows in groups:
-        offsets = tuple(range(shift - r, shift + r + 1))
-        total = 0
-        for wj, v in zip(_fd_weights(offsets), vals):
-            total = total + wj * v[rows]
-        out[rows] = total / h
+    out = _differentiate(f, *_stencil(p.reshape(-1, dom.dim), axis, dom, scheme), scheme)
     return float(out[0]) if p.ndim == 1 else out.reshape(p.shape[:-1])
 
 
 def gradient(fs: Sequence[Evaluator], X, dom: ChartDomain,
              scheme: FDScheme = FDScheme()) -> np.ndarray:
     """(..., m, d) block of base derivatives: entry [..., i, a] differentiates
-    fs[i] along axis a at X."""
-    return np.stack([np.stack([partial_derivative(f, a, X, dom, scheme) for a in range(dom.dim)],
-                              axis=-1) for f in fs], axis=-2)
+    fs[i] along axis a at X.  Each axis builds its stencil block and shift
+    groups once and hands that block to every field, so each field is called
+    once per axis (per _FD_ROWS slice) and entry [..., i, a] is bitwise the
+    partial_derivative of fs[i] along a, without going through it."""
+    X = np.asarray(X, dtype=float)
+    P = X.reshape(-1, dom.dim)
+    out = np.empty((len(P), len(fs), dom.dim))
+    for a in range(dom.dim):
+        block, groups = _stencil(P, a, dom, scheme)
+        for i, f in enumerate(fs):
+            out[:, i, a] = _differentiate(f, block, groups, scheme)
+    return out.reshape(X.shape[:-1] + out.shape[1:])
+
+
+def fd_divergence(omega: Sequence[Evaluator], X, dom: ChartDomain,
+                  scheme: FDScheme = FDScheme()):
+    """sum_a d_a omega[a] at X, one partial_derivative per component, summed
+    in axis order: the divergence of the (d-1)-form with components omega[a]
+    against (e_a interior-product dX)."""
+    return sum(partial_derivative(w, a, X, dom, scheme) for a, w in enumerate(omega))
 
 
 @dataclass(frozen=True)
@@ -349,10 +386,7 @@ def stokes_residual(
     if len(omega) != dom.dim:
         raise ValueError("need one component per axis")
 
-    def div_coeff(X: np.ndarray) -> np.ndarray:
-        return sum(partial_derivative(omega[a], a, X, dom, scheme) for a in range(dom.dim))
-
-    lhs = integrate_volume(div_coeff, dom, rule)
+    lhs = integrate_volume(lambda X: fd_divergence(omega, X, dom, scheme), dom, rule)
     rhs = sum(integrate_boundary(omega[f.axis], f, dom, rule) for f in dom.faces())
     return abs(lhs - rhs)
 

@@ -9,7 +9,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .chart import ScalarField
 
@@ -26,13 +25,21 @@ def coordinate_field(axis: int) -> ScalarField:
 def polynomial_field(coeffs) -> ScalarField:
     """Multivariate polynomial; coeffs[i0, ..., i_{d-1}] multiplies
     X0^i0 * ... * X_{d-1}^i_{d-1}.  Horner along axis 0 for every point at
-    once, then along each further axis point by point."""
+    once, then along each further axis, each step in place on one buffer
+    (v *= x; v += c).  These are the products and sums of numpy's polyval,
+    so at finite points the values are bitwise equal to it, except that a
+    leading -0.0 coefficient is not turned into +0.0 by polyval's x*0."""
     coeffs = np.asarray(coeffs, dtype=float)
 
     def ev(X: np.ndarray) -> np.ndarray:
-        v = P.polyval(X[..., 0], coeffs, tensor=True)
-        for k in range(1, X.shape[-1]):
-            v = P.polyval(X[..., k], v, tensor=False)
+        v = coeffs.reshape(coeffs.shape + (1,) * (X.ndim - 1))
+        for k in range(X.shape[-1]):
+            x, c = X[..., k], v
+            v = np.empty(np.broadcast_shapes(c.shape[1:], x.shape))
+            v[...] = c[-1]
+            for ci in c[-2::-1]:
+                v *= x
+                v += ci
         return v
 
     return ScalarField(ev)
@@ -76,20 +83,29 @@ def poly_bump_field(support: Sequence[Sequence[float]], amplitude: float = 1.0,
     to `amplitude` at the center; C^(power-1) across the support edges.
 
     It stays exactly Gauss-integrable: with quadrature panels aligned to the
-    support edges the integrand is a polynomial on every panel.
+    support edges the integrand is a polynomial on every panel.  Only the
+    rows inside the open support (and NaN rows, which stay NaN) are raised
+    to `power`; every other row is 0.0.  A single point takes the same array
+    path as a point set, so its value is bitwise the same as in a batch.
     """
     support = [(float(a), float(b)) for a, b in support]
     amplitude = float(amplitude)
 
     def ev(X: np.ndarray) -> np.ndarray:
-        v = np.full(X.shape[:-1], amplitude)
         outside = np.zeros(X.shape[:-1], dtype=bool)
         for k, (a, b) in enumerate(support):
             t = X[..., k]
             outside |= (t <= a) | (t >= b)
+        inside = ~outside
+        Y = X[inside]
+        v = np.full(len(Y), amplitude)
+        for k, (a, b) in enumerate(support):
+            t = Y[:, k]
             half = 0.5 * (b - a)
             v = v * ((t - a) * (b - t) / (half * half)) ** power
-        return np.where(outside, 0.0, v)
+        out = np.zeros(X.shape[:-1])
+        out[inside] = v
+        return out
 
     return ScalarField(ev)
 

@@ -173,8 +173,8 @@ def _scenario_exterior_jet(cfg: ScenarioConfig, run: _Runner) -> None:
         w = [ScalarField(lambda X, a=a: sum(tau.tau[i][a](X) * v.components[i](X)
                                             for i in range(m))) for a in range(d)]
         worst = sup_norm(
-            lambda X: sum(chart.partial_derivative(w[a], a, X, dom, scheme) for a in range(d))
-            - stress.stress_pairing(s, eta, X), grid)
+            lambda X: chart.fd_divergence(w, X, dom, scheme) - stress.stress_pairing(s, eta, X),
+            grid)
         run.add(f"pair_{k:02d}", worst, 1e-6)
 
 

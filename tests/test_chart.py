@@ -209,6 +209,88 @@ def test_gradient_block_matches_partial_derivatives():
             assert block[i, a] == partial_derivative(f, a, X, UNIT2)
 
 
+class TestGradient:
+    """`gradient` builds one stencil block per axis and hands it to every
+    field; each entry is bitwise the field's own partial_derivative."""
+
+    SCHEMES = [FDScheme(1e-3, 4), FDScheme(2e-2, 2)]
+    DOMAINS = [ChartDomain.unit(2), ChartDomain.unit(2, periodic=[0]),
+               ChartDomain.unit(2, periodic=[0, 1])]
+
+    @staticmethod
+    def fields_of(seed, count=3):
+        rng = np.random.default_rng(seed)
+        return [fields.random_polynomial(rng, 2, 3) for _ in range(count - 1)] + \
+            [fields.random_sine_field(rng, 2)]
+
+    @staticmethod
+    def reference(fs, X, dom, scheme):
+        X = np.asarray(X, dtype=float)
+        return np.array([[partial_derivative(f, a, X, dom, scheme) for a in range(dom.dim)]
+                         for f in fs]).transpose(tuple(range(2, X.ndim + 1)) + (0, 1))
+
+    @staticmethod
+    def all_shift_groups():
+        # rows at both faces, within stencil reach of them, and interior, on both axes
+        x = np.array([0.0, 1e-3, 2e-3, 0.5, 0.3, 1 - 2e-3, 1 - 1e-3, 1.0, 0.02, 0.97])
+        return np.stack([x, x[::-1]], axis=-1)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("dom", DOMAINS)
+    def test_matches_partial_derivative_in_every_shift_group(self, dom, scheme):
+        pts = self.all_shift_groups()
+        r = scheme.order // 2
+        assert set(_stencil_shifts(pts[:, 0], 0.0, 1.0, scheme.step, r)) == set(range(-r, r + 1))
+        fs = self.fields_of(20)
+        got = gradient(fs, pts, dom, scheme)
+        assert got.shape == (len(pts), len(fs), 2)
+        assert np.array_equal(got, self.reference(fs, pts, dom, scheme))
+
+    @pytest.mark.parametrize("dom", DOMAINS)
+    def test_empty_multi_axis_and_single_point_sets(self, dom):
+        fs = self.fields_of(21)
+        assert gradient(fs, np.empty((0, 2)), dom).shape == (0, 3, 2)
+        pts = np.random.default_rng(22).uniform(0, 1, (2, 3, 2))
+        pts[0, 0] = [0.0, 1.0]
+        got = gradient(fs, pts, dom)
+        assert got.shape == (2, 3, 3, 2)
+        assert np.array_equal(got, self.reference(fs, pts, dom, FDScheme()))
+        assert np.array_equal(got.reshape(6, 3, 2), gradient(fs, pts.reshape(-1, 2), dom))
+        point = gradient(fs, [1e-3, 0.4], dom)
+        assert point.shape == (3, 2)
+        assert np.array_equal(point, self.reference(fs, [1e-3, 0.4], dom, FDScheme()))
+
+    @pytest.mark.parametrize("dom", DOMAINS)
+    def test_rows_beyond_the_limit_go_in_chunks(self, dom, monkeypatch):
+        monkeypatch.setattr(chart, "_FD_ROWS", 7)
+        pts = self.all_shift_groups()
+        counted = [TestBatchedProtocol.counted(f) for f in self.fields_of(23)]
+        got = gradient([f for f, _ in counted], pts, dom)
+        for _, rows in counted:
+            assert max(rows) == 7 and sum(rows) == 2 * 5 * len(pts)
+        assert np.array_equal(got, self.reference(self.fields_of(23), pts, dom, FDScheme()))
+
+    @pytest.mark.parametrize("count", [1, 4])
+    def test_one_stencil_per_axis_for_any_number_of_fields(self, count, monkeypatch):
+        dom = ChartDomain.unit(3, periodic=[1])
+        shift_calls = []
+
+        def counted_shifts(x, *args):
+            shift_calls.append(len(x))
+            return _stencil_shifts(x, *args)
+
+        monkeypatch.setattr(chart, "_stencil_shifts", counted_shifts)
+        rng = np.random.default_rng(24)
+        counted = [TestBatchedProtocol.counted(fields.random_polynomial(rng, 3, 2))
+                   for _ in range(count)]
+        pts = uniform_grid(dom, 3)
+        gradient([f for f, _ in counted], pts, dom)
+        # the two boundary axes, whatever the number of fields
+        assert shift_calls == [len(pts), len(pts)]
+        for _, rows in counted:
+            assert rows == [5 * len(pts)] * 3
+
+
 class TestSupNorm:
     GRID = uniform_grid(UNIT2, samples=4)
 
@@ -419,8 +501,8 @@ class TestBatchedProtocol:
         bump = fields.poly_bump_field([(0.2, 0.8), (0.1, 0.9), (0.3, 0.7)], 1.3)
         batch = bump(pts)
         assert np.count_nonzero(batch) and np.count_nonzero(batch == 0.0)
-        # numpy's power may round the last bit differently on arrays and scalars
-        np.testing.assert_allclose(batch, [bump(x) for x in pts], rtol=1e-15, atol=0)
+        # a single point takes the bump's array path, so its power rounds alike
+        assert np.array_equal(batch, [bump(x) for x in pts])
 
     def test_lattices_match_itertools_product(self):
         def product_nodes(axes):

@@ -8,6 +8,8 @@ from jetstress.chart import (
     FDScheme,
     QuadratureRule,
     ScalarField,
+    integrate_volume,
+    partial_derivative,
     uniform_grid,
 )
 from jetstress.sections import VelocityField, VelocityJet, jet_prolong_velocity
@@ -143,6 +145,33 @@ class TestVirtualPower:
         assert powers.shape == (5,) and all(p.shape == (1,) for p in singles)
         assert all(powers[j] == singles[j][0] for j in range(5))
 
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_one_gradient_for_all_velocities_matches_per_velocity_jets(self, k):
+        # the parent's arithmetic: each velocity's jet on its own, its
+        # gradient block from one partial_derivative per (component, axis)
+        rng = np.random.default_rng(18)
+        d, m = 2, 3
+        s = random_stress(rng, d, m)
+        vs = [VelocityField(tuple(fields.random_polynomial(rng, d, 3) for _ in range(m)))
+              for _ in range(k)]
+        rule, scheme = QuadratureRule(4, panels=2), FDScheme(1e-3, 4)
+
+        def gradient_block(v, X):
+            return np.stack([np.stack([partial_derivative(f, a, X, UNIT2, scheme)
+                                       for a in range(d)], axis=-1)
+                             for f in v.components], axis=-2)
+
+        def jets(X):
+            return (np.stack([v.value(X) for v in vs]),
+                    np.stack([gradient_block(v, X) for v in vs]))
+
+        want = integrate_volume(lambda X: stress_pairing(s, VelocityJet(jets, m), X),
+                                UNIT2, rule)
+        got = virtual_power_of_stress(s, vs, UNIT2, rule, scheme)
+        assert got.shape == (k,) and np.array_equal(got, want)
+        singles = [virtual_power_of_stress(s, [v], UNIT2, rule, scheme)[0] for v in vs]
+        assert np.array_equal(got, singles)
+
     def test_value_blocks_match_component_fields(self):
         rng = np.random.default_rng(5)
         s = random_stress(rng, 2, 3)
@@ -221,7 +250,6 @@ class TestExteriorJet:
         s = exterior_jet(tau, UNIT2)
         eta = jet_prolong_velocity(v, UNIT2)
         scheme = FDScheme()
-        from jetstress.chart import partial_derivative
         for X in uniform_grid(UNIT2, 4, margin=0.05):
             ref = 0.0
             for i in range(m):
