@@ -35,7 +35,7 @@ def polynomial_field(coeffs) -> ScalarField:
         v = coeffs.reshape(coeffs.shape + (1,) * (X.ndim - 1))
         for k in range(X.shape[-1]):
             x, c = X[..., k], v
-            v = np.empty(np.broadcast_shapes(c.shape[1:], x.shape))
+            v = np.empty(coeffs.shape[k + 1:] + X.shape[:-1])
             v[...] = c[-1]
             for ci in c[-2::-1]:
                 v *= x
