@@ -245,6 +245,11 @@ class TestGradient:
         got = gradient(fs, pts, dom, scheme)
         assert got.shape == (len(pts), len(fs), 2)
         assert np.array_equal(got, self.reference(fs, pts, dom, scheme))
+        # and the parent's arithmetic, one field call per stencil offset
+        for i, f in enumerate(fs):
+            for a in range(2):
+                assert np.array_equal(got[:, i, a],
+                                      TestBatchedProtocol.per_offset(f, a, pts, dom, scheme))
 
     @pytest.mark.parametrize("dom", DOMAINS)
     def test_empty_multi_axis_and_single_point_sets(self, dom):
