@@ -28,7 +28,6 @@ from .sections import (
 from .stress import (
     TractionStressDensity,
     VariationalStressDensity,
-    cauchy_boundary,
     divergence,
     exterior_jet,
     stress_pairing,

@@ -17,11 +17,22 @@ difference calls its field once, on the stencil rows of every point stacked
 into one point set, so a nested derivative such as d(*dA) also costs one call
 of the innermost field; only a block of more than _FD_ROWS rows is split into
 slices of that many.  `partial_derivative` and `gradient` share one code
-path (`_stencil` builds the block, `_differentiate` evaluates and weighs it);
-`gradient` builds each axis's block once and hands it to all of its fields.
+path (`_stencil` builds the block and its weight table, `_differentiate`
+evaluates the block and weighs it); `gradient` builds each axis's block once
+and hands it to all of its fields.
+
+Node sets are shared: `volume_nodes`, `face_nodes`, `uniform_grid` and
+`face_grid` build each set once per argument tuple (for the last
+_NODE_SETS_KEPT of them) and hand every caller the same read-only arrays, so a
+field must not write into its points.  The stencil block and weight table of
+such a point set are kept too (`_stencils`), so every derivative at one node
+set along one axis reuses them; the blocks of nested derivatives, and point
+sets built elsewhere, get a fresh stencil on every call.
 """
 from __future__ import annotations
 
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
@@ -193,13 +204,24 @@ def _probes(x: np.ndarray, offsets: np.ndarray, h: float, lo: float, hi: float,
 _FD_ROWS = 2**14
 
 
-def _stencil(P: np.ndarray, axis: int, dom: ChartDomain,
-             scheme: FDScheme) -> tuple[np.ndarray, list]:
+@lru_cache(maxsize=None)
+def _shift_weights(r: int) -> np.ndarray:
+    """(2r + 1, 2r + 1) first-derivative weights: column shift + r holds the
+    weights of the stencil shift - r .. shift + r, in offset order."""
+    w = np.array([_fd_weights(tuple(range(s - r, s + r + 1))) for s in range(-r, r + 1)]).T
+    w.flags.writeable = False
+    return w
+
+
+def _new_stencil(P: np.ndarray, axis: int, dom: ChartDomain,
+                 scheme: FDScheme) -> tuple[np.ndarray, np.ndarray]:
     """The ((order + 1) * N, d) stencil block of a derivative along `axis` at
     the points P (N, d), read-only because every field differentiated at P
-    along `axis` is handed the same block, and its shift groups: the
-    (shift, rows) pairs whose rows share one stencil.  Row j * N + n probes
-    point n at offset shift - r + j along the axis."""
+    along `axis` is handed the same block, and its (order + 1, N) weight
+    table.  Row j * N + n of the block probes point n at offset
+    shift_n - r + j along the axis, and table[j, n] is that probe's weight.
+    A periodic axis never shifts its stencil, so there the table is the one
+    (order + 1, 1) column of the centred weights, which every point shares."""
     d = dom.dim
     if not 0 <= axis < d:
         raise ValueError(f"axis {axis} out of range for dim {d}")
@@ -210,36 +232,56 @@ def _stencil(P: np.ndarray, axis: int, dom: ChartDomain,
     r = scheme.order // 2
     x = P[:, axis]
     periodic = dom.is_periodic(axis)
-    if periodic:
-        shifts, groups = 0, [(0, slice(None))]
-    else:
-        shifts = _stencil_shifts(x, lo, hi, h, r)
-        groups = [(s, rows) for s in range(-r, r + 1) if (rows := shifts == s).any()]
+    shifts = 0 if periodic else _stencil_shifts(x, lo, hi, h, r)
     block = np.empty((2 * r + 1,) + P.shape)
     block[:] = P
     block[..., axis] = _probes(x, shifts + np.arange(-r, r + 1)[:, None], h, lo, hi, periodic)
     flat = block.reshape(-1, d)
     flat.flags.writeable = False
-    return flat, groups
+    # np.take returns the table row-major, like the values it weighs; [:, idx]
+    # would return it column-major, which multiplies them more slowly
+    return flat, np.take(_shift_weights(r), np.reshape(shifts + r, -1), axis=1)
 
 
-def _differentiate(f: Evaluator, block: np.ndarray, groups: list,
-                   scheme: FDScheme) -> np.ndarray:
-    """(N,) derivative values of f from its stencil block: f is called on
-    the block in slices of at most _FD_ROWS rows, and each shift group's rows
-    are summed in offset order with that group's weights, then divided by h."""
-    r = scheme.order // 2
+# the point arrays of the node sets built so far and still alive, by id
+_node_points: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# (id(P), axis, dom, scheme) -> (P, block, table) for node sets P, least
+# recently used first; an entry holds P, so no other array takes its id while
+# the entry lives.  At most _STENCILS_KEPT entries and _STENCIL_ROWS_KEPT
+# block rows are kept: every default scenario needs fewer entries and rows,
+# and a block of more rows is rebuilt on every call.
+_stencils: OrderedDict = OrderedDict()
+_STENCILS_KEPT = 64
+_STENCIL_ROWS_KEPT = 2**18
+
+
+def _stencil(P: np.ndarray, axis: int, dom: ChartDomain,
+             scheme: FDScheme) -> tuple[np.ndarray, np.ndarray]:
+    """`_new_stencil` of P, built once per (node set, axis, domain, scheme)
+    while it is among the kept stencils; for any other P built anew."""
+    key = (id(P), axis, dom, scheme)
+    held = _stencils.get(key)
+    if held is not None:
+        _stencils.move_to_end(key)
+        return held[1], held[2]
+    block, table = _new_stencil(P, axis, dom, scheme)
+    if id(P) in _node_points and len(block) <= _STENCIL_ROWS_KEPT:
+        _stencils[key] = (P, block, table)
+        while len(_stencils) > _STENCILS_KEPT \
+                or sum(len(b) for _, b, _ in _stencils.values()) > _STENCIL_ROWS_KEPT:
+            _stencils.popitem(last=False)
+    return block, table
+
+
+def _differentiate(f: Evaluator, block: np.ndarray, table: np.ndarray, h: float) -> np.ndarray:
+    """(N,) derivative values of f from its stencil block and weight table:
+    f is called on the block in slices of at most _FD_ROWS rows, and each
+    point's weighted values are summed in offset order, then divided by h."""
     vals = np.concatenate([np.asarray(f(block[i:i + _FD_ROWS]), dtype=float)
                            for i in range(0, max(len(block), 1), _FD_ROWS)])
-    vals = vals.reshape(2 * r + 1, len(block) // (2 * r + 1))
-    out = np.empty(vals.shape[1])
-    for shift, rows in groups:
-        offsets = tuple(range(shift - r, shift + r + 1))
-        total = 0
-        for wj, v in zip(_fd_weights(offsets), vals):
-            total = total + wj * v[rows]
-        out[rows] = total / scheme.step
-    return out
+    vals = vals.reshape(len(table), -1)
+    vals *= table
+    return np.add.reduce(vals, axis=0, initial=0.0) / h
 
 
 def partial_derivative(
@@ -255,30 +297,33 @@ def partial_derivative(
     Wraps coordinates on periodic axes; uses one-sided stencils of the same
     order within stencil reach of a boundary face.  Every stencil row of every
     point goes to f in one call, on an ((order + 1) * N, d) block, so a nested
-    derivative hands its inner derivative all of its rows at once; rows that
-    share a stencil then share its weights.  A block of more than _FD_ROWS
-    rows goes to f in consecutive slices of that many rows, which bounds the
-    memory of a nested derivative on a large lattice.
+    derivative hands its inner derivative all of its rows at once; each row's
+    value is then weighed by its entry of the stencil's weight table.  A block
+    of more than _FD_ROWS rows goes to f in consecutive slices of that many
+    rows, which bounds the memory of a nested derivative on a large lattice.
+    An (N, d) p is used as it is, not reshaped, so that a node set finds its
+    kept stencils.
     """
     p = np.asarray(p, dtype=float)
-    out = _differentiate(f, *_stencil(p.reshape(-1, dom.dim), axis, dom, scheme), scheme)
+    P = p if p.ndim == 2 else p.reshape(-1, dom.dim)
+    out = _differentiate(f, *_stencil(P, axis, dom, scheme), scheme.step)
     return float(out[0]) if p.ndim == 1 else out.reshape(p.shape[:-1])
 
 
 def gradient(fs: Sequence[Evaluator], X, dom: ChartDomain,
              scheme: FDScheme = FDScheme()) -> np.ndarray:
     """(..., m, d) block of base derivatives: entry [..., i, a] differentiates
-    fs[i] along axis a at X.  Each axis builds its stencil block and shift
-    groups once and hands that block to every field, so each field is called
+    fs[i] along axis a at X.  Each axis builds its stencil block and weight
+    table once and hands that block to every field, so each field is called
     once per axis (per _FD_ROWS slice) and entry [..., i, a] is bitwise the
     partial_derivative of fs[i] along a, without going through it."""
     X = np.asarray(X, dtype=float)
-    P = X.reshape(-1, dom.dim)
+    P = X if X.ndim == 2 else X.reshape(-1, dom.dim)
     out = np.empty((len(P), len(fs), dom.dim))
     for a in range(dom.dim):
-        block, groups = _stencil(P, a, dom, scheme)
+        block, table = _stencil(P, a, dom, scheme)
         for i, f in enumerate(fs):
-            out[:, i, a] = _differentiate(f, block, groups, scheme)
+            out[:, i, a] = _differentiate(f, block, table, scheme.step)
     return out.reshape(X.shape[:-1] + out.shape[1:])
 
 
@@ -329,8 +374,33 @@ def _pinned(dom: ChartDomain, face: BoundaryFace) -> float:
     return lo if face.side == "lower" else hi
 
 
-def volume_nodes(dom: ChartDomain, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
+# distinct node sets kept; a scenario uses a volume set, its faces and a
+# lattice or two, so this holds every node set of a d <= 3 run
+_NODE_SETS_KEPT = 32
+
+
+@lru_cache(maxsize=_NODE_SETS_KEPT)
+def _node_set(build: Callable, *args):
+    """build(*args), an array or a tuple of arrays whose first is the points,
+    made read-only and kept for the last _NODE_SETS_KEPT argument tuples, so
+    that every caller of one node set shares its arrays and its stencils.
+    The public builders call this one and stay plain functions, the only
+    kind perfbench's tracer wraps."""
+    out = build(*args)
+    arrays = out if isinstance(out, tuple) else (out,)
+    for a in arrays:
+        a.flags.writeable = False
+    _node_points[id(arrays[0])] = arrays[0]
+    return out
+
+
+def _volume_nodes(dom: ChartDomain, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
     return _tensor_nodes([rule.axis_nodes(lo, hi) for lo, hi in dom.bounds])
+
+
+def volume_nodes(dom: ChartDomain, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
+    """(points, weights) of the rule on the box: shared, read-only arrays."""
+    return _node_set(_volume_nodes, dom, rule)
 
 
 def _weighted_sum(coeff: Evaluator, nodes: tuple[np.ndarray, np.ndarray]):
@@ -351,9 +421,15 @@ def integrate_volume(coeff: Evaluator, dom: ChartDomain, rule: QuadratureRule = 
     return _weighted_sum(coeff, volume_nodes(dom, rule))
 
 
-def face_nodes(dom: ChartDomain, face: BoundaryFace, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
+def _face_nodes(dom: ChartDomain, face: BoundaryFace,
+                rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
     return _tensor_nodes([(np.array([_pinned(dom, face)]), np.array([1.0])) if a == face.axis
                           else rule.axis_nodes(lo, hi) for a, (lo, hi) in enumerate(dom.bounds)])
+
+
+def face_nodes(dom: ChartDomain, face: BoundaryFace, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
+    """(points, weights) of the rule on one face: shared, read-only arrays."""
+    return _node_set(_face_nodes, dom, face, rule)
 
 
 def integrate_face(coeff: Evaluator, face: BoundaryFace, dom: ChartDomain,
@@ -397,18 +473,27 @@ def _grid_axes(dom: ChartDomain, samples: int, margin: float = 0.0) -> list[np.n
             for a, (lo, hi) in enumerate(dom.bounds)]
 
 
+def _uniform_grid(dom: ChartDomain, samples: int, margin: float) -> np.ndarray:
+    return _lattice(_grid_axes(dom, samples, margin))
+
+
 def uniform_grid(dom: ChartDomain, samples: int = 17, margin: float = 0.0) -> np.ndarray:
     """Uniform probe lattice, `samples` points per axis; `margin` clips off
-    the boundary on non-periodic axes, periodic axes drop the duplicate endpoint."""
-    return _lattice(_grid_axes(dom, samples, margin))
+    the boundary on non-periodic axes, periodic axes drop the duplicate
+    endpoint.  The array is shared and read-only."""
+    return _node_set(_uniform_grid, dom, samples, margin)
+
+
+def _face_grid(dom: ChartDomain, face: BoundaryFace, samples: int) -> np.ndarray:
+    axes = _grid_axes(dom, samples)
+    axes[face.axis] = np.array([_pinned(dom, face)])
+    return _lattice(axes)
 
 
 def face_grid(dom: ChartDomain, face: BoundaryFace, samples: int = 17) -> np.ndarray:
     """Uniform probe lattice on one boundary face: the volume lattice's axes
-    with the face axis pinned."""
-    axes = _grid_axes(dom, samples)
-    axes[face.axis] = np.array([_pinned(dom, face)])
-    return _lattice(axes)
+    with the face axis pinned.  The array is shared and read-only."""
+    return _node_set(_face_grid, dom, face, samples)
 
 
 def sup_norm(f: Callable[[np.ndarray], object], points: np.ndarray) -> float:

@@ -121,8 +121,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parsing keeps no state in the parser, so one serves every call of main
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         values: dict[str, Any] = {}
         if args.config:

@@ -18,10 +18,6 @@ def constant_field(c: float) -> ScalarField:
     return ScalarField(lambda X: np.full(np.shape(X)[:-1], c))
 
 
-def coordinate_field(axis: int) -> ScalarField:
-    return ScalarField(lambda X: X[..., axis])
-
-
 def polynomial_field(coeffs) -> ScalarField:
     """Multivariate polynomial; coeffs[i0, ..., i_{d-1}] multiplies
     X0^i0 * ... * X_{d-1}^i_{d-1}.  Horner along axis 0 for every point at
@@ -34,7 +30,8 @@ def polynomial_field(coeffs) -> ScalarField:
     def ev(X: np.ndarray) -> np.ndarray:
         v = coeffs.reshape(coeffs.shape + (1,) * (X.ndim - 1))
         for k in range(X.shape[-1]):
-            x, c = X[..., k], v
+            # a contiguous copy of the coordinate steps faster than the strided column
+            x, c = X[..., k].copy(), v
             v = np.empty(coeffs.shape[k + 1:] + X.shape[:-1])
             v[...] = c[-1]
             for ci in c[-2::-1]:

@@ -49,10 +49,6 @@ class SurfaceForceDensity:
         return tuple(constant_field(0.0) for _ in range(fiber_dim))
 
 
-def zero_body(fiber_dim: int) -> BodyForceDensity:
-    return BodyForceDensity(tuple(constant_field(0.0) for _ in range(fiber_dim)))
-
-
 def zero_surface() -> SurfaceForceDensity:
     return SurfaceForceDensity({})
 

@@ -66,10 +66,6 @@ def zero_form(degree: int, dim: int) -> PForm:
     return PForm(degree, dim, {})
 
 
-def scalar_form(f: ScalarField, dim: int) -> PForm:
-    return PForm(0, dim, {(): f})
-
-
 def form_sup_norm(a: PForm, dom: ChartDomain, samples: int = 9) -> float:
     grid = uniform_grid(dom, samples)
     return max((sup_norm(f, grid) for f in a.components.values()), default=0.0)
@@ -92,10 +88,6 @@ class FlatMetric:
     @property
     def det_sign(self) -> int:
         return 1 if sum(1 for s in self.signature if s < 0) % 2 == 0 else -1
-
-
-def euclidean(dim: int) -> FlatMetric:
-    return FlatMetric((1,) * dim)
 
 
 def minkowski() -> FlatMetric:
@@ -191,18 +183,24 @@ def pform_virtual_power(g: PForm, v: PForm, b: PForm | None, dom: ChartDomain,
     return integrate_volume(coeff, dom, rule)
 
 
+def maxwell_fields(A: PForm, metric: FlatMetric, dom: ChartDomain,
+                   scheme: FDScheme = FDScheme()) -> tuple[PForm, PForm]:
+    """Field strength F = dA and source J = d(*F) of a potential 1-form on a
+    periodic 4-box."""
+    if dom.dim != 4 or A.dim != 4 or A.degree != 1:
+        raise ValueError("needs a 1-form potential on a 4-dimensional box")
+    if any(not dom.is_periodic(a) for a in range(4)):
+        raise ValueError("the vacuum check runs on a fully periodic box")
+    F = exterior_derivative(A, dom, scheme)
+    return F, exterior_derivative(hodge_star(F, metric), dom, scheme)
+
+
 def maxwell_vacuum_check(A: PForm, metric: FlatMetric, dom: ChartDomain,
                          rule: QuadratureRule = QuadratureRule(),
                          scheme: FDScheme = FDScheme(),
                          samples: int = 9) -> tuple[float, float]:
     """Vacuum Maxwell residuals for a potential 1-form on a periodic 4-box:
     sup norms of d(dA) (field-strength closure) and of d(*dA) (source)."""
-    if dom.dim != 4 or A.dim != 4 or A.degree != 1:
-        raise ValueError("needs a 1-form potential on a 4-dimensional box")
-    if any(not dom.is_periodic(a) for a in range(4)):
-        raise ValueError("the vacuum check runs on a fully periodic box")
-    F = exterior_derivative(A, dom, scheme)
+    F, J = maxwell_fields(A, metric, dom, scheme)
     dF = exterior_derivative(F, dom, scheme)
-    g = hodge_star(F, metric)
-    J = exterior_derivative(g, dom, scheme)
     return form_sup_norm(dF, dom, samples), form_sup_norm(J, dom, samples)

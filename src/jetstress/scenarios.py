@@ -328,8 +328,9 @@ def _scenario_maxwell(cfg: ScenarioConfig, run: _Runner) -> None:
 
     k_bad = np.array([1.0, 0.0, 0.0, 0.0])
     A_bad = plane_wave_potential(k_bad, eps)
-    _, J_bad = forms.maxwell_vacuum_check(A_bad, metric, dom, rule, scheme, cfg.samples)
-    run.add("non_null_J", J_bad, 0.1, comparator="ge")
+    # only the source of the non-null wave is checked, so its dF is not computed
+    _, J_bad = forms.maxwell_fields(A_bad, metric, dom, scheme)
+    run.add("non_null_J", forms.form_sup_norm(J_bad, dom, cfg.samples), 0.1, comparator="ge")
 
     rng = _rng(cfg)
     B = forms.PForm(1, 4, {(mu,): fields.random_sine_field(rng, 4, n_modes=1)

@@ -157,12 +157,6 @@ def cauchy_face_components(tau: TractionStressDensity, face: BoundaryFace,
                  for i in range(tau.fiber_dim))
 
 
-def cauchy_boundary(tau: TractionStressDensity, face: BoundaryFace,
-                    dom: ChartDomain) -> SurfaceForceDensity:
-    """Cauchy mapping on a single face, as a surface force density."""
-    return SurfaceForceDensity({face: cauchy_face_components(tau, face, dom)})
-
-
 def cauchy_all_faces(tau: TractionStressDensity, dom: ChartDomain) -> SurfaceForceDensity:
     """Cauchy mapping on every boundary face of the chart."""
     return SurfaceForceDensity(

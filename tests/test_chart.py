@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 
@@ -45,7 +46,7 @@ class TestDomain:
 
 class TestPartialDerivative:
     def test_linear_field(self):
-        f = fields.coordinate_field(0)
+        f = ScalarField(lambda X: X[..., 0])
         assert partial_derivative(f, 0, [0.3, 0.7], UNIT2) == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_field(self):
@@ -156,7 +157,7 @@ class TestIntegration:
 class TestStokes:
     def test_coordinate_form(self):
         # omega = X2 (e_1 int dX): both sides equal 1
-        omega = [fields.constant_field(0.0), fields.coordinate_field(1)]
+        omega = [fields.constant_field(0.0), ScalarField(lambda X: X[..., 1])]
         assert stokes_residual(omega, UNIT2) <= 1e-10
 
     def test_zero_form(self):
@@ -188,7 +189,7 @@ class TestStokes:
 
     def test_periodic_axis_drops_face(self):
         dom = ChartDomain.unit(2, periodic=[0])
-        omega = [fields.sine_field([(1.0, (1, 0), 0.0)]), fields.coordinate_field(1)]
+        omega = [fields.sine_field([(1.0, (1, 0), 0.0)]), ScalarField(lambda X: X[..., 1])]
         assert stokes_residual(omega, dom) <= 1e-9
 
 
@@ -200,7 +201,7 @@ def test_uniform_grid_shapes():
 
 
 def test_gradient_block_matches_partial_derivatives():
-    fs = [fields.coordinate_field(0), ScalarField(lambda X: X[..., 0] * X[..., 1] ** 2)]
+    fs = [ScalarField(lambda X: X[..., 0]), ScalarField(lambda X: X[..., 0] * X[..., 1] ** 2)]
     X = np.array([0.3, 0.6])
     block = gradient(fs, X, UNIT2)
     assert block.shape == (2, 2)
@@ -288,12 +289,128 @@ class TestGradient:
         rng = np.random.default_rng(24)
         counted = [TestBatchedProtocol.counted(fields.random_polynomial(rng, 3, 2))
                    for _ in range(count)]
-        pts = uniform_grid(dom, 3)
+        # a copy, not the shared lattice, so that no stencil is kept from an
+        # earlier call and each one builds its own
+        pts = uniform_grid(dom, 3).copy()
         gradient([f for f, _ in counted], pts, dom)
         # the two boundary axes, whatever the number of fields
         assert shift_calls == [len(pts), len(pts)]
         for _, rows in counted:
             assert rows == [5 * len(pts)] * 3
+
+
+class TestSharedNodeSets:
+    """Node sets are built once and shared read-only; the stencils of a node
+    set are kept, those of any other point set are built on every call."""
+
+    DOM = ChartDomain.unit(2, periodic=[1])
+    RULE = QuadratureRule(3, panels=2)
+    FACE = BoundaryFace(0, "upper")
+
+    @pytest.fixture(autouse=True)
+    def fresh_caches(self):
+        chart._stencils.clear()
+        chart._node_set.cache_clear()
+        yield
+        chart._stencils.clear()
+        chart._node_set.cache_clear()
+
+    def builders(self):
+        return [lambda: volume_nodes(self.DOM, self.RULE),
+                lambda: face_nodes(self.DOM, self.FACE, self.RULE),
+                lambda: uniform_grid(self.DOM, 4), lambda: uniform_grid(self.DOM, 4, 0.1),
+                lambda: face_grid(self.DOM, self.FACE, 4)]
+
+    def test_public_builders_are_plain_functions(self):
+        # the benchmark's tracer wraps only what inspect.isfunction accepts
+        for build in (volume_nodes, face_nodes, uniform_grid, face_grid):
+            assert inspect.isfunction(build)
+
+    def test_node_sets_are_shared_and_read_only(self):
+        for build in self.builders():
+            first, again = build(), build()
+            assert first is again
+            for a in first if isinstance(first, tuple) else (first,):
+                assert not a.flags.writeable
+        assert uniform_grid(self.DOM, 4) is uniform_grid(self.DOM, samples=4, margin=0.0)
+
+    def test_a_field_that_writes_into_its_points_raises(self):
+        def ev(X):
+            X[..., 0] += 1.0
+            return X[..., 0]
+
+        with pytest.raises(ValueError, match="read-only"):
+            integrate_volume(ScalarField(ev), self.DOM, self.RULE)
+        with pytest.raises(ValueError, match="read-only"):
+            sup_norm(ScalarField(ev), uniform_grid(self.DOM, 4))
+        assert np.array_equal(volume_nodes(self.DOM, self.RULE)[0],
+                              chart._volume_nodes(self.DOM, self.RULE)[0])
+
+    @staticmethod
+    def blocks_seen(f):
+        """f as a field that records the array that owns the points of each
+        call: the stencil block, of which f is handed a slice."""
+        seen = []
+
+        def ev(X):
+            seen.append(X.base)
+            return f(X)
+
+        return ScalarField(ev), seen
+
+    def test_a_second_derivative_at_a_node_set_reuses_its_stencil(self, monkeypatch):
+        built = []
+        new_stencil = chart._new_stencil
+        monkeypatch.setattr(chart, "_new_stencil",
+                            lambda *args: built.append(args[1]) or new_stencil(*args))
+        f, seen = self.blocks_seen(fields.random_polynomial(np.random.default_rng(30), 2, 3))
+        grid = uniform_grid(self.DOM, 5)
+        first = partial_derivative(f, 0, grid, self.DOM)
+        again = partial_derivative(f, 0, grid, self.DOM)
+        grads = gradient([f, f], grid, self.DOM)
+        # axis 0 once for all three calls, axis 1 once for the gradient
+        assert built == [0, 1]
+        assert seen[0] is seen[1] is seen[2] is seen[3]
+        assert np.array_equal(first, again) and np.array_equal(grads[:, 1, 0], first)
+
+    def test_an_equal_fresh_array_gets_its_own_equal_stencil(self):
+        f, seen = self.blocks_seen(fields.random_polynomial(np.random.default_rng(31), 2, 3))
+        grid = uniform_grid(self.DOM, 5)
+        fresh = grid.copy()
+        for axis in range(2):
+            shared = partial_derivative(f, axis, grid, self.DOM)
+            own = partial_derivative(f, axis, fresh, self.DOM)
+            again = partial_derivative(f, axis, fresh, self.DOM)
+            assert np.array_equal(shared, own) and np.array_equal(own, again)
+            kept, block, rebuilt = seen[-3:]
+            assert block is not kept and rebuilt is not block
+            assert np.array_equal(block, kept) and np.array_equal(rebuilt, block)
+        assert {key[0] for key in chart._stencils} == {id(grid)}
+
+    def test_nested_blocks_are_not_kept(self):
+        f = fields.random_polynomial(np.random.default_rng(32), 2, 3)
+        df = ScalarField(lambda X: partial_derivative(f, 1, X, self.DOM))
+        grid = uniform_grid(self.DOM, 5)
+        partial_derivative(df, 0, grid, self.DOM)
+        assert list(chart._stencils) == [(id(grid), 0, self.DOM, FDScheme())]
+
+    def test_the_memo_never_exceeds_its_bound(self, monkeypatch):
+        monkeypatch.setattr(chart, "_STENCILS_KEPT", 5)
+        monkeypatch.setattr(chart, "_STENCIL_ROWS_KEPT", 5 * 60)
+        f = fields.random_polynomial(np.random.default_rng(33), 2, 3)
+        for samples in range(2, 40):
+            grid = uniform_grid(self.DOM, samples)
+            for axis in range(2):
+                partial_derivative(f, axis, grid, self.DOM)
+                held = chart._stencils.items()
+                assert len(held) <= 5
+                assert sum(len(block) for _, (_, block, _) in held) <= 5 * 60
+                # each entry holds the array whose id keys it
+                assert all(key[0] == id(P) for key, (P, _, _) in held)
+        # a block larger than the row bound is built but not kept
+        assert not any(key[0] == id(grid) for key in chart._stencils)
+        assert chart._node_set.cache_info().currsize <= chart._NODE_SETS_KEPT
+        assert chart._node_set.cache_info().maxsize == chart._NODE_SETS_KEPT
 
 
 class TestSupNorm:
@@ -476,7 +593,7 @@ class TestBatchedProtocol:
         assert np.array_equal(got.ravel(), partial_derivative(f, 0, pts.reshape(-1, 2), dom))
 
     def test_gradient_block_shape(self):
-        fs = [fields.coordinate_field(0), fields.constant_field(1.0),
+        fs = [ScalarField(lambda X: X[..., 0]), fields.constant_field(1.0),
               ScalarField(lambda X: X[..., 0] * X[..., 1])]
         pts = uniform_grid(UNIT2, 4)
         block = gradient(fs, pts, UNIT2)

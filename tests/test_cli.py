@@ -352,6 +352,41 @@ class TestMain:
         assert main(["--config", str(path), "--seed", "9"]) == EXIT_PASS
         assert json.loads(capsys.readouterr().out)["config"]["seed"] == 9
 
+    def test_calls_share_no_tolerance_or_seed(self, capsys):
+        # one parser serves every call; nothing of one call's flags reaches the next
+        assert main(["--scenario", "stokes", "--seed", "4",
+                     "--tolerance", "default=1e-300"]) == EXIT_FAIL
+        first = json.loads(capsys.readouterr().out)
+        assert main(["--scenario", "stokes"]) == EXIT_PASS
+        second = json.loads(capsys.readouterr().out)
+        assert (first["config"]["seed"], first["config"]["tolerances"]) == (4, {"default": 1e-300})
+        assert (second["config"]["seed"], second["config"]["tolerances"]) == (0, {})
+
+    @pytest.mark.parametrize("bad", [
+        ["--scenario", "stokes", "--tolerance", "default=1e-300", "--tolerance", "oops"],
+        ["--scenario", "stokes", "--tolerance", "default=1e-300", "--seed", "x"],
+    ])
+    def test_a_config_error_then_a_good_call_behave_like_fresh_calls(self, bad, capsys):
+        good = ["--scenario", "stokes", "--seed", "2", "--format", "text"]
+
+        def fresh(argv):
+            proc = subprocess.run([sys.executable, "-m", "jetstress", *argv],
+                                  capture_output=True, text=True)
+            return proc.returncode, proc.stdout, proc.stderr
+
+        try:
+            code = main(bad)
+        except SystemExit as exc:  # argparse's own usage errors exit
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out, err) == fresh(bad) and code == EXIT_CONFIG
+        code = main(good)
+        out, err = capsys.readouterr()
+        strip = [line.rsplit("  (", 1)[0] for line in out.splitlines()]
+        fresh_code, fresh_out, fresh_err = fresh(good)
+        assert (code, err) == (fresh_code, fresh_err) == (EXIT_PASS, "")
+        assert strip == [line.rsplit("  (", 1)[0] for line in fresh_out.splitlines()]
+
 
 def test_module_entry_point():
     proc = subprocess.run(

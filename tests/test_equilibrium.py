@@ -16,7 +16,6 @@ from jetstress.forces import (
     rotation_generator,
     translation_generators,
     virtual_power_of_force,
-    zero_body,
     zero_surface,
 )
 from jetstress.sections import Configuration, VelocityField
@@ -38,20 +37,20 @@ def poly_stress(rng, d, m):
 
 class TestForcePower:
     def test_zero_force(self):
-        f = ForceFunctional(zero_body(1), zero_surface())
-        v = VelocityField((fields.coordinate_field(0),))
+        f = ForceFunctional(BodyForceDensity((fields.constant_field(0.0),)), zero_surface())
+        v = VelocityField((ScalarField(lambda X: X[..., 0]),))
         assert virtual_power_of_force(f, v, UNIT1) == 0.0
 
     def test_body_only(self):
         # b = 1, v = X: power = 1/2
         f = ForceFunctional(BodyForceDensity((fields.constant_field(1.0),)))
-        v = VelocityField((fields.coordinate_field(0),))
+        v = VelocityField((ScalarField(lambda X: X[..., 0]),))
         assert virtual_power_of_force(f, v, UNIT1) == pytest.approx(0.5, abs=1e-12)
 
     def test_surface_only(self):
         # unit traction on the upper end of the interval, unit velocity
         face = BoundaryFace(0, "upper")
-        f = ForceFunctional(zero_body(1),
+        f = ForceFunctional(BodyForceDensity((fields.constant_field(0.0),)),
                             SurfaceForceDensity({face: (fields.constant_field(1.0),)}))
         v = VelocityField((fields.constant_field(1.0),))
         assert virtual_power_of_force(f, v, UNIT1) == pytest.approx(1.0, abs=1e-12)
@@ -73,7 +72,7 @@ class TestEquilibriumResiduals:
     def test_all_zero(self):
         s = VariationalStressDensity((fields.constant_field(0.0),),
                                      ((fields.constant_field(0.0),),))
-        f = ForceFunctional(zero_body(1), zero_surface())
+        f = ForceFunctional(BodyForceDensity((fields.constant_field(0.0),)), zero_surface())
         interior, boundary = equilibrium_residuals(s, f, UNIT1)
         assert interior == 0.0
         assert boundary == 0.0
@@ -98,7 +97,7 @@ class TestWeakStrong:
     def test_zero_stress(self):
         s = VariationalStressDensity((fields.constant_field(0.0),),
                                      ((fields.constant_field(0.0),),))
-        v = VelocityField((fields.coordinate_field(0),))
+        v = VelocityField((ScalarField(lambda X: X[..., 0]),))
         assert weak_strong_consistency(s, v, UNIT1) == 0.0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -137,7 +136,7 @@ class TestWeakStrong:
 
 class TestEquilibratedForces:
     def test_zero_force_trivially_equilibrated(self):
-        f = ForceFunctional(zero_body(2), zero_surface())
+        f = ForceFunctional(BodyForceDensity((fields.constant_field(0.0),) * 2), zero_surface())
         gens = translation_generators(UNIT2, 2)
         res = equilibrated_force_residual(f, gens, UNIT2)
         assert set(res) == {"translation_0", "translation_1"}
@@ -164,7 +163,7 @@ class TestEquilibratedForces:
         assert max(res.values()) <= 1e-8
 
     def test_rotation_generator_components(self):
-        kappa = Configuration((fields.coordinate_field(0), fields.coordinate_field(1)))
+        kappa = Configuration((ScalarField(lambda X: X[..., 0]), ScalarField(lambda X: X[..., 1])))
         g = rotation_generator(kappa, 0, 1)
         assert g.label == "rotation_01"
         v = g.velocity.value([0.3, 0.8])

@@ -9,14 +9,12 @@ from jetstress.chart import ChartDomain, FDScheme, QuadratureRule, ScalarField, 
 from jetstress.forms import (
     FlatMetric,
     PForm,
-    euclidean,
     exterior_derivative,
     form_sup_norm,
     hodge_star,
     maxwell_vacuum_check,
     minkowski,
     pform_virtual_power,
-    scalar_form,
     shuffle_sign,
     wedge,
     zero_form,
@@ -87,8 +85,8 @@ class TestWedge:
         assert wedge(a, b).component((0, 1))([0.2, 0.9]) == pytest.approx(-2.0)
 
     def test_zero_form_scales(self):
-        f = scalar_form(fields.constant_field(3.0), 2)
-        a = PForm(1, 2, {(0,): fields.coordinate_field(1)})
+        f = PForm(0, 2, {(): fields.constant_field(3.0)})
+        a = PForm(1, 2, {(0,): ScalarField(lambda X: X[..., 1])})
         assert wedge(f, a).component((0,))([0.2, 0.5]) == pytest.approx(1.5)
 
     def test_graded_anticommutativity(self):
@@ -113,18 +111,18 @@ class TestWedge:
 
 class TestExteriorDerivative:
     def test_constant_function(self):
-        da = exterior_derivative(scalar_form(fields.constant_field(2.0), 2), UNIT2)
+        da = exterior_derivative(PForm(0, 2, {(): fields.constant_field(2.0)}), UNIT2)
         assert form_sup_norm(da, UNIT2, 5) <= 1e-11
 
     def test_coordinate_one_form(self):
         # d(X0 dX1) = dX0 ^ dX1
-        a = PForm(1, 2, {(1,): fields.coordinate_field(0)})
+        a = PForm(1, 2, {(1,): ScalarField(lambda X: X[..., 0])})
         da = exterior_derivative(a, UNIT2)
         assert da.component((0, 1))([0.4, 0.6]) == pytest.approx(1.0, abs=1e-9)
 
     def test_gradient_of_function(self):
         f = ScalarField(lambda X: X[..., 0] * X[..., 1])
-        da = exterior_derivative(scalar_form(f, 2), UNIT2)
+        da = exterior_derivative(PForm(0, 2, {(): f}), UNIT2)
         assert da.component((0,))([0.4, 0.6]) == pytest.approx(0.6, abs=1e-9)
         assert da.component((1,))([0.4, 0.6]) == pytest.approx(0.4, abs=1e-9)
 
@@ -158,11 +156,11 @@ class TestHodgeStar:
         dx0 = PForm(1, 2, {(0,): fields.constant_field(1.0)})
         dx1 = PForm(1, 2, {(1,): fields.constant_field(1.0)})
         X = [0.5, 0.5]
-        assert hodge_star(dx0, euclidean(2)).component((1,))(X) == 1.0
-        assert hodge_star(dx1, euclidean(2)).component((0,))(X) == -1.0
+        assert hodge_star(dx0, FlatMetric((1, 1))).component((1,))(X) == 1.0
+        assert hodge_star(dx1, FlatMetric((1, 1))).component((0,))(X) == -1.0
 
     def test_star_of_one_is_volume(self):
-        vol = hodge_star(scalar_form(fields.constant_field(1.0), 3), euclidean(3))
+        vol = hodge_star(PForm(0, 3, {(): fields.constant_field(1.0)}), FlatMetric((1, 1, 1)))
         assert vol.degree == 3
         assert vol.component((0, 1, 2))([0.1, 0.2, 0.3]) == 1.0
 
@@ -172,7 +170,8 @@ class TestHodgeStar:
         star = hodge_star(dx0, minkowski())
         assert star.component((1, 2, 3))([0.0] * 4) == -1.0
 
-    @pytest.mark.parametrize("metric", [euclidean(3), euclidean(4), minkowski()])
+    @pytest.mark.parametrize("metric",
+                             [FlatMetric((1, 1, 1)), FlatMetric((1, 1, 1, 1)), minkowski()])
     def test_double_star_identity(self, metric):
         rng = np.random.default_rng(metric.dim)
         d = metric.dim
@@ -187,7 +186,7 @@ class TestHodgeStar:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            hodge_star(random_pform(np.random.default_rng(0), 1, 3), euclidean(2))
+            hodge_star(random_pform(np.random.default_rng(0), 1, 3), FlatMetric((1, 1)))
 
 
 class TestPFormPower:
@@ -198,8 +197,8 @@ class TestPFormPower:
 
     def test_boundary_flux_on_interval(self):
         # g = X, v = 1 on [0,1]: power reduces to the boundary flux g(1) - g(0)
-        g = scalar_form(fields.coordinate_field(0), 1)
-        v = scalar_form(fields.constant_field(1.0), 1)
+        g = PForm(0, 1, {(): ScalarField(lambda X: X[..., 0])})
+        v = PForm(0, 1, {(): fields.constant_field(1.0)})
         assert pform_virtual_power(g, v, None, UNIT1) == pytest.approx(1.0, abs=1e-10)
 
     def test_source_term_mass(self):

@@ -185,12 +185,12 @@ class TestBatchedJetProtocol:
     ], ids=["float", "first-row"])
     def test_one_point_density_on_a_point_set_raises(self, density):
         psi = ConstitutiveDensity(((lambda jp: 0.0),), ((density,),))
-        s = pullback_constitutive(psi, Configuration((fields.coordinate_field(0),)), UNIT1)
+        s = pullback_constitutive(psi, Configuration((ScalarField(lambda X: X[..., 0]),)), UNIT1)
         assert s.s_mixed[0][0]([0.4]) == pytest.approx(1.0, abs=1e-8)
         with pytest.raises((TypeError, ValueError)):
             s.s_mixed[0][0](uniform_grid(UNIT1, 5))
         with pytest.raises((TypeError, ValueError)):
-            total_energy(Configuration((fields.coordinate_field(0),)),
+            total_energy(Configuration((ScalarField(lambda X: X[..., 0]),)),
                          LagrangianDensity(density), None, UNIT1)
 
 
@@ -202,12 +202,12 @@ class TestTotalEnergy:
 
     def test_quadratic_stored_energy(self):
         # L = (1/2)(x')^2, kappa = X: energy 1/2
-        kappa = Configuration((fields.coordinate_field(0),), smoothness=99)
+        kappa = Configuration((ScalarField(lambda X: X[..., 0]),), smoothness=99)
         L = LagrangianDensity(lambda jp: 0.5 * jp.xprime[..., 0, 0] ** 2)
         assert total_energy(kappa, L, None, UNIT1) == pytest.approx(0.5, abs=1e-10)
 
     def test_constant_shift(self):
-        kappa = Configuration((fields.coordinate_field(0),), smoothness=99)
+        kappa = Configuration((ScalarField(lambda X: X[..., 0]),), smoothness=99)
         L1 = LagrangianDensity(lambda jp: 0.5 * jp.xprime[..., 0, 0] ** 2)
         L2 = LagrangianDensity(lambda jp: 0.5 * jp.xprime[..., 0, 0] ** 2 + 3.0)
         e1 = total_energy(kappa, L1, None, UNIT1)
@@ -217,21 +217,21 @@ class TestTotalEnergy:
     def test_potential_terms(self):
         face = BoundaryFace(0, "upper")
         w = PotentialDensities(lambda X, x: x[..., 0], {face: lambda X, x: x[..., 0]})
-        kappa = Configuration((fields.coordinate_field(0),), smoothness=99)
+        kappa = Configuration((ScalarField(lambda X: X[..., 0]),), smoothness=99)
         # body integral of X is 1/2, face value at X=1 is 1
         assert total_energy(kappa, None, w, UNIT1) == pytest.approx(1.5, abs=1e-12)
 
 
 class TestEnergyVariation:
     def test_zero_velocity(self):
-        kappa = Configuration((fields.coordinate_field(0),), smoothness=99)
+        kappa = Configuration((ScalarField(lambda X: X[..., 0]),), smoothness=99)
         L = LagrangianDensity(lambda jp: 0.5 * jp.xprime[..., 0, 0] ** 2)
         v = VelocityField((fields.constant_field(0.0),))
         assert energy_variation_residual(kappa, v, L, UNIT1) <= 1e-12
 
     def test_linear_configuration(self):
         # kappa = X, v = X(1-X): both sides equal integral of (1 - 2X) = 0
-        kappa = Configuration((fields.coordinate_field(0),), smoothness=99)
+        kappa = Configuration((ScalarField(lambda X: X[..., 0]),), smoothness=99)
         L = LagrangianDensity(lambda jp: 0.5 * jp.xprime[..., 0, 0] ** 2)
         v = VelocityField((ScalarField(lambda X: X[..., 0] * (1 - X[..., 0])),))
         assert energy_variation_residual(kappa, v, L, UNIT1) <= 1e-8
@@ -290,7 +290,7 @@ class TestBVP:
 
     def test_rough_configuration_rejected(self):
         _, psi, _, B, T, _ = bar_problem()
-        rough = Configuration((fields.coordinate_field(0),), smoothness=1)
+        rough = Configuration((ScalarField(lambda X: X[..., 0]),), smoothness=1)
         with pytest.raises(ValueError):
             bvp_residual(rough, psi, B, T, UNIT1)
 

@@ -12,11 +12,11 @@ from jetstress.chart import (
     partial_derivative,
     uniform_grid,
 )
+from jetstress.forces import SurfaceForceDensity
 from jetstress.sections import VelocityField, VelocityJet, jet_prolong_velocity
 from jetstress.stress import (
     TractionStressDensity,
     VariationalStressDensity,
-    cauchy_boundary,
     cauchy_face_components,
     divergence,
     exterior_jet,
@@ -90,13 +90,13 @@ class TestPairing:
 class TestVirtualPower:
     def test_zero(self):
         s = const_stress([0.0], [[0.0]])
-        v = VelocityField((fields.coordinate_field(0),))
+        v = VelocityField((ScalarField(lambda X: X[..., 0]),))
         assert virtual_power_of_stress(s, (v,), UNIT1)[0] == 0.0
 
     def test_gradient_pairing(self):
         # s_1^1 = 1, v = X: power = integral of dv/dX = 1
         s = const_stress([0.0], [[1.0]])
-        v = VelocityField((fields.coordinate_field(0),))
+        v = VelocityField((ScalarField(lambda X: X[..., 0]),))
         assert virtual_power_of_stress(s, (v,), UNIT1)[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_homogeneous_in_stress(self):
@@ -233,8 +233,8 @@ class TestExteriorJet:
 
     def test_coordinate_traction(self):
         # tau^1 = X1, tau^2 = X2: lower block is the plain divergence, 2
-        tau = TractionStressDensity(((fields.coordinate_field(0),
-                                      fields.coordinate_field(1)),))
+        tau = TractionStressDensity(((ScalarField(lambda X: X[..., 0]),
+                                      ScalarField(lambda X: X[..., 1])),))
         s = exterior_jet(tau, UNIT2)
         assert s.s_lower[0]([0.4, 0.6]) == pytest.approx(2.0, abs=1e-9)
 
@@ -268,7 +268,7 @@ class TestDivergence:
     def test_linear_mixed_block(self):
         # s_1 = 1, s_1^1 = X: div = 1 - 1 = 0
         s = VariationalStressDensity((fields.constant_field(1.0),),
-                                     ((fields.coordinate_field(0),),))
+                                     ((ScalarField(lambda X: X[..., 0]),),))
         assert abs(divergence(s, UNIT1).value([0.5])[0]) <= 1e-10
 
     def test_exterior_jet_has_zero_divergence(self):
@@ -310,7 +310,7 @@ class TestCauchy:
     def test_single_face_density(self):
         tau = TractionStressDensity(((fields.constant_field(3.0),),))
         face = BoundaryFace(0, "upper")
-        sf = cauchy_boundary(tau, face, UNIT1)
+        sf = SurfaceForceDensity({face: cauchy_face_components(tau, face, UNIT1)})
         assert sf.on_face(face, 1)[0]([1.0]) == pytest.approx(3.0)
         other = BoundaryFace(0, "lower")
         assert sf.on_face(other, 1)[0]([0.0]) == 0.0
