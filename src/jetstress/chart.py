@@ -16,10 +16,13 @@ divergence (`fd_divergence`); the identity modules compose these.  A finite
 difference calls its field once, on the stencil rows of every point stacked
 into one point set, so a nested derivative such as d(*dA) also costs one call
 of the innermost field; only a block of more than _FD_ROWS rows is split into
-slices of that many.  `partial_derivative` and `gradient` share one code
-path (`_stencil` builds the block and its weight table, `_differentiate`
-evaluates the block and weighs it); `gradient` builds each axis's block once
-and hands it to all of its fields.
+slices of that many.  The stencil weights are exact rationals rounded once to
+float (`_fd_weights`), so a centred stencil's middle weight is exactly 0, and a periodic axis
+leaves that row out: order * N rows per derivative there, against
+(order + 1) * N on a boundary axis.  `partial_derivative` and `gradient`
+share one code path (`_stencil` builds the block and its weight table,
+`_differentiate` evaluates the block and weighs it); `gradient` builds each
+axis's block once and hands it to all of its fields.
 
 Node sets are shared: `volume_nodes`, `face_nodes`, `uniform_grid` and
 `face_grid` build each set once per argument tuple (for the last
@@ -31,6 +34,7 @@ sets built elsewhere, get a fresh stencil on every call.
 """
 from __future__ import annotations
 
+import math
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -161,12 +165,24 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _fd_weights(offsets: tuple[int, ...]) -> np.ndarray:
-    """First-derivative weights for integer offsets at unit step."""
-    n = len(offsets)
-    A = np.array([[o**k for o in offsets] for k in range(n)], dtype=float)
-    rhs = np.zeros(n)
-    rhs[1] = 1.0
-    return np.linalg.solve(A, rhs)
+    """First-derivative weights for distinct integer offsets at unit step,
+    read-only: weight j is L_j'(0) for the Lagrange basis polynomial
+    L_j(x) = prod_k (x - o_k) / prod_k (o_j - o_k) over the other offsets o_k
+    (Fornberg 1988).  Its numerator and denominator are integers, and Python's
+    int / int rounds their exact quotient once, so each weight is the exact
+    rational rounded to float, and the centre weight of a centred stencil is
+    exactly 0.0."""
+    weights = []
+    for j, oj in enumerate(offsets):
+        others = offsets[:j] + offsets[j + 1:]
+        # d/dx prod_k (x - o_k) at x = 0: drop one factor, keep the others at 0
+        slope = sum(math.prod(-o for i, o in enumerate(others) if i != m)
+                    for m in range(len(others)))
+        # a zero slope gives +0.0, where 0 / -k would give -0.0
+        weights.append(slope / math.prod(oj - o for o in others) if slope else 0.0)
+    w = np.array(weights)
+    w.flags.writeable = False
+    return w
 
 
 def _stencil_shifts(x: np.ndarray, lo: float, hi: float, h: float, r: int) -> np.ndarray:
@@ -199,15 +215,18 @@ def _probes(x: np.ndarray, offsets: np.ndarray, h: float, lo: float, hi: float,
 
 
 # most stencil rows handed to f in one call; without a limit the peak memory
-# of a nested derivative grows with (order + 1)**2 times the lattice, and at
-# this one the default scenarios run no slower than without (BENCH_7.json)
+# of a nested derivative grows with up to (order + 1)**2 times the lattice,
+# and at this one the default scenarios run no slower than without
+# (BENCH_7.json)
 _FD_ROWS = 2**14
 
 
 @lru_cache(maxsize=None)
 def _shift_weights(r: int) -> np.ndarray:
     """(2r + 1, 2r + 1) first-derivative weights: column shift + r holds the
-    weights of the stencil shift - r .. shift + r, in offset order."""
+    weights of the stencil shift - r .. shift + r, in offset order.  They are
+    exact up to one rounding, so the middle entry of the centred column r is
+    0.0 and a periodic stencil leaves that row out."""
     w = np.array([_fd_weights(tuple(range(s - r, s + r + 1))) for s in range(-r, r + 1)]).T
     w.flags.writeable = False
     return w
@@ -215,13 +234,15 @@ def _shift_weights(r: int) -> np.ndarray:
 
 def _new_stencil(P: np.ndarray, axis: int, dom: ChartDomain,
                  scheme: FDScheme) -> tuple[np.ndarray, np.ndarray]:
-    """The ((order + 1) * N, d) stencil block of a derivative along `axis` at
-    the points P (N, d), read-only because every field differentiated at P
-    along `axis` is handed the same block, and its (order + 1, N) weight
-    table.  Row j * N + n of the block probes point n at offset
-    shift_n - r + j along the axis, and table[j, n] is that probe's weight.
-    A periodic axis never shifts its stencil, so there the table is the one
-    (order + 1, 1) column of the centred weights, which every point shares."""
+    """The (k * N, d) stencil block of a derivative along `axis` at the points
+    P (N, d), read-only because every field differentiated at P along `axis`
+    is handed the same block, and its (k, N) weight table; row j * N + n of
+    the block probes point n at one offset and table[j, n] is that probe's
+    weight.  On a boundary axis k = order + 1 and row j * N + n probes offset
+    shift_n - r + j.  A periodic axis never shifts its stencil and leaves out
+    the centre offset, whose weight is exactly 0: there k = order, the rows
+    probe offsets -r .. -1, 1 .. r, and the table is the one (order, 1)
+    column of their weights, which every point shares."""
     d = dom.dim
     if not 0 <= axis < d:
         raise ValueError(f"axis {axis} out of range for dim {d}")
@@ -230,17 +251,25 @@ def _new_stencil(P: np.ndarray, axis: int, dom: ChartDomain,
     if h * scheme.order >= hi - lo:
         raise ValueError("FD step too large for axis extent")
     r = scheme.order // 2
-    x = P[:, axis]
+    weights = _shift_weights(r)
+    # contiguous, so that the (k, N) probe arithmetic below runs on a unit stride
+    x = np.ascontiguousarray(P[:, axis])
     periodic = dom.is_periodic(axis)
-    shifts = 0 if periodic else _stencil_shifts(x, lo, hi, h, r)
-    block = np.empty((2 * r + 1,) + P.shape)
+    if periodic:
+        kept = np.flatnonzero(weights[:, r])
+        offsets, table = (kept - r)[:, None], weights[kept, r:r + 1]
+    else:
+        shifts = _stencil_shifts(x, lo, hi, h, r)
+        offsets = shifts + np.arange(-r, r + 1)[:, None]
+        # np.take returns the table row-major, like the values it weighs;
+        # [:, idx] would return it column-major, which multiplies them more slowly
+        table = np.take(weights, shifts + r, axis=1)
+    block = np.empty((len(offsets),) + P.shape)
     block[:] = P
-    block[..., axis] = _probes(x, shifts + np.arange(-r, r + 1)[:, None], h, lo, hi, periodic)
+    block[..., axis] = _probes(x, offsets, h, lo, hi, periodic)
     flat = block.reshape(-1, d)
     flat.flags.writeable = False
-    # np.take returns the table row-major, like the values it weighs; [:, idx]
-    # would return it column-major, which multiplies them more slowly
-    return flat, np.take(_shift_weights(r), np.reshape(shifts + r, -1), axis=1)
+    return flat, table
 
 
 # the point arrays of the node sets built so far and still alive, by id
@@ -296,11 +325,13 @@ def partial_derivative(
 
     Wraps coordinates on periodic axes; uses one-sided stencils of the same
     order within stencil reach of a boundary face.  Every stencil row of every
-    point goes to f in one call, on an ((order + 1) * N, d) block, so a nested
-    derivative hands its inner derivative all of its rows at once; each row's
-    value is then weighed by its entry of the stencil's weight table.  A block
-    of more than _FD_ROWS rows goes to f in consecutive slices of that many
-    rows, which bounds the memory of a nested derivative on a large lattice.
+    point goes to f in one call, on an ((order + 1) * N, d) block, or an
+    (order * N, d) block on a periodic axis, which has no row for the
+    zero-weight centre offset; so a nested derivative hands its inner
+    derivative all of its rows at once.  Each row's value is then weighed by
+    its entry of the stencil's weight table.  A block of more than _FD_ROWS
+    rows goes to f in consecutive slices of that many rows, which bounds the
+    memory of a nested derivative on a large lattice.
     An (N, d) p is used as it is, not reshaped, so that a node set finds its
     kept stencils.
     """

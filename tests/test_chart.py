@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from jetstress.chart import (
     QuadratureRule,
     ScalarField,
     _fd_weights,
+    _shift_weights,
     _stencil_shifts,
     face_grid,
     face_nodes,
@@ -81,6 +83,41 @@ class TestPartialDerivative:
         e1 = abs(partial_derivative(f, 0, p, dom, FDScheme(2e-2, 4)) - exact)
         e2 = abs(partial_derivative(f, 0, p, dom, FDScheme(1e-2, 4)) - exact)
         assert 12.0 <= e1 / e2 <= 20.0
+
+    @staticmethod
+    def rational_weights(offsets):
+        """Solve sum_j w_j o_j**k = [k == 1], k < len(offsets), by Gauss-Jordan
+        elimination in exact rationals."""
+        n = len(offsets)
+        rows = [[Fraction(o) ** k for o in offsets] + [Fraction(k == 1)] for k in range(n)]
+        for c in range(n):
+            pivot = next(i for i in range(c, n) if rows[i][c])
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            rows[c] = [v / rows[c][c] for v in rows[c]]
+            for i in range(n):
+                if i != c:
+                    rows[i] = [a - rows[i][c] * b for a, b in zip(rows[i], rows[c])]
+        return [row[-1] for row in rows]
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_weights_are_exact_rationals_rounded_once(self, r):
+        for s in range(-r, r + 1):
+            offsets = tuple(range(s - r, s + r + 1))
+            exact = self.rational_weights(offsets)
+            for k in range(2 * r + 1):
+                assert sum(w * o**k for w, o in zip(exact, offsets)) == (k == 1)
+            got = _fd_weights(offsets)
+            assert got.tolist() == [float(w) for w in exact]
+            assert np.array_equal(_shift_weights(r)[:, s + r], got)
+        centre = _fd_weights(tuple(range(-r, r + 1)))[r]
+        assert centre == 0.0 and math.copysign(1.0, centre) == 1.0
+
+    def test_a_periodic_derivative_never_evaluates_its_own_point(self):
+        # a centre value that is not finite no longer reaches the derivative
+        f = ScalarField(lambda X: np.where(X[..., 0] == 0.5, np.nan, X[..., 0]))
+        dom = ChartDomain.unit(1, periodic=[0])
+        assert partial_derivative(f, 0, [0.5], dom) == pytest.approx(1.0, abs=1e-10)
+        assert math.isnan(partial_derivative(f, 0, [0.5], ChartDomain.unit(1)))
 
     def test_axis_out_of_range(self):
         with pytest.raises(ValueError):
@@ -272,8 +309,10 @@ class TestGradient:
         pts = self.all_shift_groups()
         counted = [TestBatchedProtocol.counted(f) for f in self.fields_of(23)]
         got = gradient([f for f, _ in counted], pts, dom)
+        # order + 1 rows per point on a boundary axis, order on a periodic one
+        per_point = sum(4 if dom.is_periodic(a) else 5 for a in range(2))
         for _, rows in counted:
-            assert max(rows) == 7 and sum(rows) == 2 * 5 * len(pts)
+            assert max(rows) == 7 and sum(rows) == per_point * len(pts)
         assert np.array_equal(got, self.reference(self.fields_of(23), pts, dom, FDScheme()))
 
     @pytest.mark.parametrize("count", [1, 4])
@@ -296,7 +335,7 @@ class TestGradient:
         # the two boundary axes, whatever the number of fields
         assert shift_calls == [len(pts), len(pts)]
         for _, rows in counted:
-            assert rows == [5 * len(pts)] * 3
+            assert rows == [5 * len(pts), 4 * len(pts), 5 * len(pts)]
 
 
 class TestSharedNodeSets:
@@ -536,10 +575,15 @@ class TestBatchedProtocol:
         # rows within stencil reach of the seam, and rows a period or more away
         pts = np.array([[0.0, 0.5], [1e-4, 0.2], [0.5, 0.5], [0.9995, 0.0], [0.999, 1.0],
                         [-0.3, 0.1], [1.7, 0.4], [-2.0, 0.6]])
-        counted, rows = self.counted(f)
+        seen = []
+        counted, rows = self.counted(lambda X: seen.append(X.copy()) or f(X))
         got = partial_derivative(counted, 0, pts, dom)
-        assert rows == [5 * len(pts)]
+        # order rows per point: the zero-weight centre offset is left out
+        assert rows == [4 * len(pts)]
         assert np.array_equal(got, self.per_offset(f, 0, pts, dom))
+        # so no row probes its own point, taken into [0, 1)
+        probes = seen[0].reshape(4, len(pts), 2)[..., 0]
+        assert not np.isclose(probes, pts[:, 0] % 1.0, rtol=0, atol=1e-9).any()
 
     @pytest.mark.parametrize("scheme", [FDScheme(1e-3, 4), FDScheme(2e-2, 2)])
     def test_one_call_across_shift_groups(self, scheme):
