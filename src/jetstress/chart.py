@@ -98,6 +98,8 @@ class ChartDomain:
     def box(cls, bounds: Iterable[Sequence[float]], periodic: Iterable[int] = ()) -> "ChartDomain":
         bounds = tuple((float(a), float(b)) for a, b in bounds)
         per = set(periodic)
+        if not per <= set(range(len(bounds))):
+            raise ValueError(f"periodic axes {sorted(per)} outside 0..{len(bounds) - 1}")
         kinds = tuple(PERIODIC if i in per else BOUNDARY for i in range(len(bounds)))
         return cls(bounds, kinds)
 
@@ -362,7 +364,9 @@ def fd_divergence(omega: Sequence[Evaluator], X, dom: ChartDomain,
                   scheme: FDScheme = FDScheme()):
     """sum_a d_a omega[a] at X, one partial_derivative per component, summed
     in axis order: the divergence of the (d-1)-form with components omega[a]
-    against (e_a interior-product dX)."""
+    against (e_a interior-product dX); it needs one component per axis."""
+    if len(omega) != dom.dim:
+        raise ValueError("need one component per axis")
     return sum(partial_derivative(w, a, X, dom, scheme) for a, w in enumerate(omega))
 
 
@@ -490,9 +494,6 @@ def stokes_residual(
     Periodic axes contribute no faces; their divergence terms integrate to
     zero for periodic data.
     """
-    if len(omega) != dom.dim:
-        raise ValueError("need one component per axis")
-
     lhs = integrate_volume(lambda X: fd_divergence(omega, X, dom, scheme), dom, rule)
     rhs = sum(integrate_boundary(omega[f.axis], f, dom, rule) for f in dom.faces())
     return abs(lhs - rhs)

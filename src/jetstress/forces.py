@@ -13,6 +13,7 @@ import numpy as np
 from .chart import (
     BoundaryFace,
     ChartDomain,
+    Evaluator,
     QuadratureRule,
     ScalarField,
     integrate_face,
@@ -60,6 +61,12 @@ class ForceFunctional:
     body: BodyForceDensity
     surface: SurfaceForceDensity = field(default_factory=zero_surface)
 
+    def __post_init__(self) -> None:
+        for face, t in self.surface.components.items():
+            if len(t) != self.fiber_dim:
+                raise ValueError(f"{face} carries {len(t)} traction components, "
+                                 f"the body {self.fiber_dim}")
+
     @property
     def fiber_dim(self) -> int:
         return self.body.fiber_dim
@@ -68,19 +75,13 @@ class ForceFunctional:
 def virtual_power_of_force(f: ForceFunctional, v: VelocityField, dom: ChartDomain,
                            rule: QuadratureRule = QuadratureRule()) -> float:
     """f(v) = volume integral of b_i v^i plus the face integrals of t_i v^i."""
-    m = f.fiber_dim
 
-    def body_coeff(X: np.ndarray) -> np.ndarray:
-        return np.sum(f.body.value(X) * v.value(X), axis=-1)
+    def power(t: tuple[ScalarField, ...]) -> Evaluator:
+        return lambda X: np.sum(np.stack([ti(X) for ti in t], axis=-1) * v.value(X), axis=-1)
 
-    total = integrate_volume(body_coeff, dom, rule)
+    total = integrate_volume(power(f.body.components), dom, rule)
     for face in dom.faces():
-        t = f.surface.on_face(face, m)
-
-        def face_coeff(X: np.ndarray, t=t) -> np.ndarray:
-            return np.sum(np.stack([ti(X) for ti in t], axis=-1) * v.value(X), axis=-1)
-
-        total += integrate_face(face_coeff, face, dom, rule)
+        total += integrate_face(power(f.surface.on_face(face, f.fiber_dim)), face, dom, rule)
     return total
 
 

@@ -1,5 +1,5 @@
 """Constitutive densities, hyperelasticity from a Lagrangian, loadings, and
-the strong-form boundary-value residual.
+the boundary-value problem at a configuration.
 
 Vertical (fiber and jet) derivatives are central differences with a step
 scaled relative to the coordinate magnitude; the pullback along a
@@ -9,8 +9,10 @@ all base differentiation is total.  Jet-coordinate callables (`JetEval`,
 configuration and its jet at every point at once and return one value per
 point, shape (...); a single point is the case ... = ().
 
-Sign convention for the field equation: the invariant form div(s) + b = 0 is
-adopted, so the interior residual is  d_a(psi_i^a along j1 kappa) - psi_i + B_i.
+The boundary-value problem at kappa asks whether the stress psi along j1 kappa
+represents the loading force at kappa, so its residuals are the equilibrium
+residuals of the two pullbacks; with the invariant form div(s) + b = 0 the
+interior residual is  d_a(psi_i^a along j1 kappa) - psi_i + B_i.
 """
 from __future__ import annotations
 
@@ -25,15 +27,13 @@ from .chart import (
     FDScheme,
     QuadratureRule,
     ScalarField,
-    face_grid,
     integrate_face,
     integrate_volume,
-    sup_norm,
-    uniform_grid,
 )
-from .forces import BodyForceDensity
+from .equilibrium import equilibrium_residuals
+from .forces import BodyForceDensity, ForceFunctional, SurfaceForceDensity
 from .sections import Configuration, JetPoint, JetSection, VelocityField, jet_prolong_config
-from .stress import VariationalStressDensity, divergence, virtual_power_of_stress
+from .stress import VariationalStressDensity, virtual_power_of_stress
 
 # jet coordinates (X (..., d), x (..., m), xprime (..., m, d)) -> values (...)
 JetEval = Callable[[JetPoint], np.ndarray]
@@ -51,14 +51,6 @@ class ConstitutiveDensity:
 
     psi_lower: tuple[JetEval, ...]
     psi_mixed: tuple[tuple[JetEval, ...], ...]
-
-    @property
-    def fiber_dim(self) -> int:
-        return len(self.psi_lower)
-
-    @property
-    def base_dim(self) -> int:
-        return len(self.psi_mixed[0])
 
 
 @dataclass(frozen=True)
@@ -79,22 +71,14 @@ class BodyLoadingDensity:
 
     components: tuple[FiberEval, ...]
 
-    @property
-    def fiber_dim(self) -> int:
-        return len(self.components)
-
 
 @dataclass(frozen=True)
 class SurfaceLoadingDensity:
     """Per boundary face, components T_i(X, x); orientation sign folded in,
-    matching SurfaceForceDensity."""
+    matching SurfaceForceDensity.  A missing face carries zero traction: its
+    pullback has no entry there, which SurfaceForceDensity reads as zero."""
 
     components: Mapping[BoundaryFace, tuple[FiberEval, ...]]
-
-    def on_face(self, face: BoundaryFace, fiber_dim: int) -> tuple[FiberEval, ...]:
-        if face in self.components:
-            return self.components[face]
-        return tuple((lambda X, x: 0.0) for _ in range(fiber_dim))
 
 
 @dataclass(frozen=True)
@@ -172,8 +156,14 @@ def loading_from_potential(w: PotentialDensities, fiber_dim: int,
     return body, surf
 
 
-def pullback_body_loading(B: BodyLoadingDensity, kappa: Configuration) -> BodyForceDensity:
-    return BodyForceDensity(tuple(_along_config(g, kappa) for g in B.components))
+def pullback_loading(B: BodyLoadingDensity, T: SurfaceLoadingDensity,
+                     kappa: Configuration) -> ForceFunctional:
+    """The loading force at kappa: every body and face component composed
+    with the configuration."""
+    return ForceFunctional(
+        BodyForceDensity(tuple(_along_config(g, kappa) for g in B.components)),
+        SurfaceForceDensity({face: tuple(_along_config(g, kappa) for g in t)
+                             for face, t in T.components.items()}))
 
 
 def total_energy(kappa: Configuration, L: LagrangianDensity | None,
@@ -219,23 +209,11 @@ def bvp_residual(kappa: Configuration, psi: ConstitutiveDensity,
                  dom: ChartDomain,
                  scheme: FDScheme = FDScheme(),
                  samples: int = 17) -> tuple[float, float]:
-    """Strong-form residuals of the boundary-value problem at kappa.
-
-    Interior: sup |d_a(psi_i^a along j1 kappa) - psi_i + B_i| over the probe
-    lattice.  Boundary: per face, sup |sign * psi_i^(face axis) - T_i|.
-    """
+    """Strong-form residuals of the boundary-value problem at kappa: the
+    equilibrium residuals of the stress psi along j1 kappa against the
+    loading force at kappa."""
     if kappa.smoothness < 2:
         raise ValueError("interior residual needs a C2 configuration")
-    s = pullback_constitutive(psi, kappa, dom, scheme)
-    div = divergence(s, dom, scheme)
-    b = pullback_body_loading(body_loading, kappa)
-    interior = sup_norm(lambda X: div.value(X) + b.value(X), uniform_grid(dom, samples))
-
-    boundary = 0.0
-    for face in dom.faces():
-        ts = [_along_config(T, kappa) for T in surface_loading.on_face(face, s.fiber_dim)]
-        boundary = max(boundary, sup_norm(
-            lambda X: [face.induced_sign * row[face.axis](X) - T(X)
-                       for row, T in zip(s.s_mixed, ts)],
-            face_grid(dom, face, samples)))
-    return interior, boundary
+    return equilibrium_residuals(pullback_constitutive(psi, kappa, dom, scheme),
+                                 pullback_loading(body_loading, surface_loading, kappa),
+                                 dom, scheme, samples)

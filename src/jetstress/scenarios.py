@@ -363,16 +363,23 @@ def _scenario_pform_leibniz(cfg: ScenarioConfig, run: _Runner) -> None:
                for idx in ab.indices())
     run.add("anticommute", anti, 1e-12)
 
-    # closed-box power: on a torus the power of any smooth pair integrates to zero
+    # closed-box power: on a torus the power of any smooth pair integrates to
+    # zero.  The 1-forms share modes: g_i = a_i sin(theta_i) with theta_i =
+    # 2 pi X_(i+1) + phase_i, and v_(i+2) = b_i sin(theta_i + pi/2).  Then the
+    # integrals of dg ^ v and g ^ dv are each -pi sum_i a_i b_i, with
+    # a_i, b_i >= 0.5, and they cancel only through the identity.
     per = ChartDomain.unit(d, periodic=range(d))
-    p = 1
-    g = forms.PForm(d - p - 1, d,
-                    {idx: fields.random_sine_field(rng, d, n_modes=1)
-                     for idx in forms.zero_form(d - p - 1, d).indices()})
-    v = forms.PForm(p, d, {(i,): fields.random_sine_field(rng, d, n_modes=1)
-                           for i in range(d)})
-    power = forms.pform_virtual_power(g, v, None, per, _rule(cfg), scheme)
+    g, v = {}, {}
+    for i in range(d):
+        axis, phase = np.eye(d, dtype=int)[(i + 1) % d], rng.uniform(0.0, 2.0 * math.pi)
+        g[(i,)] = fields.sine_field([(rng.uniform(0.5, 1.0), axis, phase)])
+        v[((i + 2) % d,)] = fields.sine_field([(rng.uniform(0.5, 1.0), axis, phase + math.pi / 2)])
+    g, v = forms.PForm(1, d, g), forms.PForm(1, d, v)
+    rule = _rule(cfg)
+    power = forms.pform_virtual_power(g, v, None, per, rule, scheme)
     run.add("closed_box_power", abs(power), 1e-6)
+    dg_v = forms.wedge(forms.exterior_derivative(g, per, scheme), v).component(tuple(range(d)))
+    run.add("magnitude_dg_v", abs(chart.integrate_volume(dg_v, per, rule)), 0.1, comparator="ge")
 
 
 # id -> (runner, defaults of the config keys it reads, allowed d or None for any);

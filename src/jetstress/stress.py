@@ -69,10 +69,6 @@ class TractionStressDensity:
     def fiber_dim(self) -> int:
         return len(self.tau)
 
-    @property
-    def base_dim(self) -> int:
-        return len(self.tau[0])
-
 
 def stress_pairing(s: VariationalStressDensity, eta: VelocityJet, X):
     """Density coefficient s_i * xdot^i + s_i^a * xdot'^i_a at one point (a

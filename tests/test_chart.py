@@ -19,6 +19,7 @@ from jetstress.chart import (
     _stencil_shifts,
     face_grid,
     face_nodes,
+    fd_divergence,
     gradient,
     integrate_boundary,
     integrate_volume,
@@ -36,6 +37,11 @@ class TestDomain:
     def test_rejects_empty_interval(self):
         with pytest.raises(ValueError):
             ChartDomain.box([(1.0, 1.0)])
+
+    @pytest.mark.parametrize("periodic", [[5], [-1], [2], [0, 2]])
+    def test_rejects_periodic_axis_outside_the_box(self, periodic):
+        with pytest.raises(ValueError, match="periodic axes"):
+            ChartDomain.box([(0, 1), (0, 1)], periodic=periodic)
 
     def test_faces_skip_periodic_axes(self):
         dom = ChartDomain.unit(2, periodic=[0])
@@ -122,6 +128,44 @@ class TestPartialDerivative:
     def test_axis_out_of_range(self):
         with pytest.raises(ValueError):
             partial_derivative(fields.constant_field(0.0), 2, [0.5, 0.5], UNIT2)
+
+    @staticmethod
+    def error_and_roundoff(dim, scheme, degree, seed):
+        """Largest error of partial_derivative, and of gradient, against
+        polyder of a random_polynomial's coefficient tensor, evaluated by
+        numpy's polyval, over grid, boundary and random rows of the unit box;
+        and the roundoff bound (sum of |weights|) * eps * (sum of
+        |coefficients|) / h of an exact stencil there."""
+        dom = ChartDomain.unit(dim)
+        polyval = {1: P.polyval, 2: P.polyval2d, 3: P.polyval3d}[dim]
+        rng = np.random.default_rng(dim)
+        X = np.concatenate([uniform_grid(dom, 9 if dim < 3 else 5), rng.uniform(0, 1, (50, dim))])
+        coeffs = np.random.default_rng(seed).uniform(-1, 1, (degree + 1,) * dim)
+        f = fields.random_polynomial(np.random.default_rng(seed), dim, degree)
+        np.testing.assert_allclose(f(X), polyval(*X.T, coeffs), rtol=0, atol=1e-13)
+        block = gradient([f], X, dom, scheme)[:, 0, :]
+        error = 0.0
+        for a in range(dim):
+            pd = partial_derivative(f, a, X, dom, scheme)
+            assert np.array_equal(pd, block[:, a])
+            error = max(error, np.max(np.abs(pd - polyval(*X.T, P.polyder(coeffs, axis=a)))))
+        abs_weights = np.abs(_shift_weights(scheme.order // 2)).sum(axis=0).max()
+        return error, abs_weights * np.finfo(float).eps * np.abs(coeffs).sum() / scheme.step
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("scheme", [FDScheme(1e-3, 4), FDScheme(1e-2, 4), FDScheme(1e-2, 2)],
+                             ids=repr)
+    def test_exact_for_polynomials_up_to_the_order(self, dim, scheme):
+        # an order-k stencil differentiates degree <= k exactly at every row,
+        # one-sided ones included, so what is left is roundoff, not O(h**k)
+        for seed in range(3):
+            error, roundoff = self.error_and_roundoff(dim, scheme, scheme.order, seed)
+            assert error <= roundoff
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_one_degree_more_exceeds_the_roundoff_bound(self, order):
+        error, roundoff = self.error_and_roundoff(2, FDScheme(1e-2, order), order + 1, 0)
+        assert error > 100 * roundoff
 
     def test_step_too_large(self):
         with pytest.raises(ValueError):
@@ -223,6 +267,15 @@ class TestStokes:
         for _ in range(5):
             omega = [fields.random_polynomial(rng, d, 3) for _ in range(d)]
             assert stokes_residual(omega, dom, QuadratureRule(4), FDScheme(1e-2, 4)) <= 1e-6
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_one_component_per_axis(self, count):
+        # a missing component would be a silent partial divergence
+        omega = [ScalarField(lambda X: X[..., 0])] * count
+        with pytest.raises(ValueError, match="one component per axis"):
+            fd_divergence(omega, [[0.5, 0.5]], UNIT2)
+        with pytest.raises(ValueError, match="one component per axis"):
+            stokes_residual(omega, UNIT2)
 
     def test_periodic_axis_drops_face(self):
         dom = ChartDomain.unit(2, periodic=[0])

@@ -55,6 +55,15 @@ class TestForcePower:
         v = VelocityField((fields.constant_field(1.0),))
         assert virtual_power_of_force(f, v, UNIT1) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_face_needs_one_component_per_fiber_axis(self, count):
+        # a short face tuple would broadcast over the velocity, or be zipped short
+        body = BodyForceDensity((fields.constant_field(0.0),) * 2)
+        surface = SurfaceForceDensity(
+            {BoundaryFace(0, "upper"): (fields.constant_field(1.0),) * count})
+        with pytest.raises(ValueError, match="traction components"):
+            ForceFunctional(body, surface)
+
     def test_linear_in_velocity(self):
         rng = np.random.default_rng(9)
         f = ForceFunctional(BodyForceDensity((fields.random_polynomial(rng, 1, 3),)))

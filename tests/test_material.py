@@ -19,8 +19,8 @@ from jetstress.material import (
     constitutive_from_lagrangian,
     energy_variation_residual,
     loading_from_potential,
-    pullback_body_loading,
     pullback_constitutive,
+    pullback_loading,
     total_energy,
 )
 from jetstress.sections import Configuration, JetPoint, VelocityField
@@ -122,14 +122,18 @@ class TestLoadingFromPotential:
         face = BoundaryFace(0, "upper")
         w = PotentialDensities(lambda X, x: 0.0, {face: lambda X, x: -float(x[0])})
         _, T = loading_from_potential(w, 1)
-        t = T.on_face(face, 1)
+        t = T.components[face]
         assert t[0](np.array([1.0]), np.array([0.3])) == pytest.approx(1.0, abs=1e-8)
 
-    def test_pullback_body_loading(self):
+    def test_pullback_loading(self):
+        face = BoundaryFace(0, "upper")
         B = BodyLoadingDensity(((lambda X, x: float(X[0] + x[0])),))
+        T = SurfaceLoadingDensity({face: ((lambda X, x: float(X[0] * x[0])),)})
         kappa = Configuration((ScalarField(lambda X: X[..., 0] ** 2),))
-        b = pullback_body_loading(B, kappa)
-        assert b.value([0.5])[0] == pytest.approx(0.75)
+        f = pullback_loading(B, T, kappa)
+        assert f.body.value([0.5])[0] == pytest.approx(0.75)
+        assert f.surface.on_face(face, 1)[0]([0.5]) == pytest.approx(0.125)
+        assert f.surface.on_face(BoundaryFace(0, "lower"), 1)[0]([0.0]) == 0.0
 
 
 class TestBatchedJetProtocol:
@@ -160,7 +164,7 @@ class TestBatchedJetProtocol:
             {face: lambda X, x: np.sin(x[..., 0] * x[..., 1])})
         B, T = loading_from_potential(w, self.M)
         jp = self.batch(np.random.default_rng(12))
-        for g in B.components + T.on_face(face, self.M):
+        for g in B.components + T.components[face]:
             got = g(jp.X, jp.x)
             assert got.shape == (self.N,)
             assert np.array_equal(got, [g(jp.X[k], jp.x[k]) for k in range(self.N)])

@@ -271,6 +271,11 @@ class TestDivergence:
                                      ((ScalarField(lambda X: X[..., 0]),),))
         assert abs(divergence(s, UNIT1).value([0.5])[0]) <= 1e-10
 
+    def test_mixed_rows_need_one_entry_per_axis(self):
+        s = const_stress([0.0], [[1.0]])
+        with pytest.raises(ValueError, match="one component per axis"):
+            divergence(s, UNIT2).value([[0.5, 0.5]])
+
     def test_exterior_jet_has_zero_divergence(self):
         # div(exterior_jet(tau)) = 0 identically, the null-stress property
         rng = np.random.default_rng(17)
