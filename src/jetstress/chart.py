@@ -529,11 +529,11 @@ def face_grid(dom: ChartDomain, face: BoundaryFace, samples: int = 17) -> np.nda
 
 
 def sup_norm(f: Callable[[np.ndarray], object], points: np.ndarray) -> float:
-    """Largest |entry| of a scalar- or array-valued f, evaluated once on the
-    whole (N, d) point set.  A NaN anywhere in the values is the result.
-
-    An empty point set raises, so that no sup-norm check passes vacuously.
+    """Largest |entry| of f, evaluated once on the whole (N, d) point set.  A
+    list-valued f (a check's components or form indices) is reduced over
+    every entry of every piece: a NaN in any piece is the result, and zero
+    pieces give 0.0.  An empty point set raises, so no check passes vacuously.
     """
     if len(points) == 0:
         raise ValueError("sup norm over an empty point set")
-    return float(np.max(np.abs(f(points))))
+    return float(np.maximum.reduce(np.abs(f(points)), axis=None, initial=0.0))

@@ -1,6 +1,8 @@
 """Equilibrium residuals and weak/strong consistency of the stress representation."""
 from __future__ import annotations
 
+import numpy as np
+
 from .chart import (
     ChartDomain,
     FDScheme,
@@ -36,18 +38,20 @@ def equilibrium_residuals(s: VariationalStressDensity, f: ForceFunctional,
                           scheme: FDScheme = FDScheme(),
                           samples: int = 17) -> tuple[float, float]:
     """Strong-form residuals: sup |div(s) + b| on an interior lattice and
-    sup |t - Cauchy(P(s))| over face lattices."""
+    sup |t - Cauchy(P(s))| over face lattices; no faces give 0.0."""
+    if f.fiber_dim != s.fiber_dim:
+        raise ValueError(f"force has {f.fiber_dim} components, the stress {s.fiber_dim}")
     div = divergence(s, dom, scheme)
     interior = sup_norm(lambda X: div.value(X) + f.body.value(X), uniform_grid(dom, samples))
 
     tau = traction_extract(s)
-    boundary = 0.0
+    boundary = []
     for face in dom.faces():
         cf = cauchy_face_components(tau, face, dom)
         tf = f.surface.on_face(face, s.fiber_dim)
-        boundary = max(boundary, sup_norm(lambda X: [ti(X) - ci(X) for ti, ci in zip(tf, cf)],
-                                          face_grid(dom, face, samples)))
-    return interior, boundary
+        boundary.append(sup_norm(lambda X: [ti(X) - ci(X) for ti, ci in zip(tf, cf)],
+                                 face_grid(dom, face, samples)))
+    return interior, float(np.maximum.reduce(boundary, initial=0.0))
 
 
 def weak_strong_consistency(s: VariationalStressDensity, v: VelocityField,

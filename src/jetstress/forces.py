@@ -75,6 +75,8 @@ class ForceFunctional:
 def virtual_power_of_force(f: ForceFunctional, v: VelocityField, dom: ChartDomain,
                            rule: QuadratureRule = QuadratureRule()) -> float:
     """f(v) = volume integral of b_i v^i plus the face integrals of t_i v^i."""
+    if f.fiber_dim != v.fiber_dim:
+        raise ValueError(f"force has {f.fiber_dim} components, the velocity {v.fiber_dim}")
 
     def power(t: tuple[ScalarField, ...]) -> Evaluator:
         return lambda X: np.sum(np.stack([ti(X) for ti in t], axis=-1) * v.value(X), axis=-1)

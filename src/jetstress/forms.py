@@ -67,8 +67,7 @@ def zero_form(degree: int, dim: int) -> PForm:
 
 
 def form_sup_norm(a: PForm, dom: ChartDomain, samples: int = 9) -> float:
-    grid = uniform_grid(dom, samples)
-    return max((sup_norm(f, grid) for f in a.components.values()), default=0.0)
+    return sup_norm(lambda X: [f(X) for f in a.components.values()], uniform_grid(dom, samples))
 
 
 @dataclass(frozen=True)

@@ -520,15 +520,25 @@ class TestSupNorm:
 
         expected = max(abs(v) for X in self.GRID for v in f(X))
         assert sup_norm(f, self.GRID) == expected == 3.0
+        # the same entries as a list of pieces, one per component
+        assert sup_norm(lambda X: list(np.moveaxis(f(X), -1, 0)), self.GRID) == expected
 
     def test_empty_point_set_raises(self):
-        with pytest.raises(ValueError):
-            sup_norm(fields.constant_field(1.0), np.empty((0, 2)))
+        for f in (fields.constant_field(1.0), lambda X: []):
+            with pytest.raises(ValueError):
+                sup_norm(f, np.empty((0, 2)))
 
     def test_nan_at_a_later_point_propagates(self):
         last = self.GRID[-1]
         f = ScalarField(lambda X: np.where(np.all(X == last, axis=-1), np.nan, 1.0))
         assert math.isnan(sup_norm(f, self.GRID))
+
+    def test_nan_in_a_later_piece_propagates(self):
+        f = fields.constant_field(np.nan)
+        assert math.isnan(sup_norm(lambda X: [X[..., 0], f(X), X[..., 1]], self.GRID))
+
+    def test_zero_pieces_give_zero(self):
+        assert sup_norm(lambda X: [], self.GRID) == 0.0
 
 
 class TestBatchedProtocol:

@@ -3,12 +3,16 @@ import math
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jetstress import fields, forms, material, scenarios, stress
+from jetstress.chart import BoundaryFace
 from jetstress.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
@@ -238,6 +242,68 @@ class TestScenarioRunner:
             lambda cfg, run: run.add("probe", value, 1.0, comparator), {}, None))
         r = run_scenario(ScenarioConfig("probe"))
         assert not r.checks[0].passed and not r.passed
+
+
+class TestNanInOnePieceFailsItsCheck:
+    """A check folded over several pieces (faces, stress rows, form indices)
+    reads NaN when one piece other than the first is NaN, and fails whatever
+    its comparator."""
+
+    @staticmethod
+    def nan_checks(report) -> dict[str, str]:
+        failed = {c.name: c.comparator for c in report.checks if math.isnan(c.value)}
+        assert not any(c.passed for c in report.checks if c.name in failed)
+        assert not report.passed
+        return failed
+
+    @staticmethod
+    def with_nan_at(form, position):
+        key = list(form.components)[position]
+        return replace(form, components={**form.components, key: fields.constant_field(np.nan)})
+
+    def test_upper_face_loading(self, monkeypatch):
+        dom, L, body, surf = scenarios._bar_setup()
+        assert list(dom.faces())[-1] == BoundaryFace(0, "upper")
+        nan_surf = material.SurfaceLoadingDensity(
+            {**surf.components, BoundaryFace(0, "upper"): ((lambda X, x: np.nan),)})
+        monkeypatch.setattr(scenarios, "_bar_setup", lambda: (dom, L, body, nan_surf))
+        r = run_scenario(ScenarioConfig("hyperelastic_1d_bar", **TINY["hyperelastic_1d_bar"]))
+        assert self.nan_checks(r) == {"boundary": "le"}
+
+    def test_one_mixed_stress_row(self, monkeypatch):
+        exterior_jet = stress.exterior_jet
+
+        def nan_last_row(tau, dom, scheme):
+            s = exterior_jet(tau, dom, scheme)
+            last = tuple(fields.constant_field(np.nan) for _ in s.s_mixed[-1])
+            return replace(s, s_mixed=s.s_mixed[:-1] + (last,))
+
+        monkeypatch.setattr(stress, "exterior_jet", nan_last_row)
+        r = run_scenario(ScenarioConfig("null_stress", d=1, m=2, count=1, samples=3))
+        assert self.nan_checks(r)["magnitude_00"] == "ge"
+
+    def test_one_form_index_of_the_source(self, monkeypatch):
+        maxwell_fields = forms.maxwell_fields
+
+        def nan_second_index(A, metric, dom, scheme):
+            F, J = maxwell_fields(A, metric, dom, scheme)
+            return F, self.with_nan_at(J, 1)
+
+        monkeypatch.setattr(forms, "maxwell_fields", nan_second_index)
+        r = run_scenario(ScenarioConfig("maxwell_vacuum", **TINY["maxwell_vacuum"]))
+        assert self.nan_checks(r) == {"null_wave_J": "le", "non_null_J": "ge"}
+
+    def test_one_form_index_of_a_wedge(self, monkeypatch):
+        wedge = forms.wedge
+
+        def nan_last_index(a, b):
+            # only the 2-forms a^b and b^a; the closed-box power wedges to 3-forms
+            out = wedge(a, b)
+            return self.with_nan_at(out, -1) if out.degree == 2 else out
+
+        monkeypatch.setattr(forms, "wedge", nan_last_index)
+        r = run_scenario(ScenarioConfig("pform_leibniz", samples=3))
+        assert self.nan_checks(r) == {"leibniz": "le", "anticommute": "le"}
 
 
 class TestEmit:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,14 @@ class TestForcePower:
         with pytest.raises(ValueError, match="traction components"):
             ForceFunctional(body, surface)
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_velocity_needs_one_component_per_force_axis(self, count):
+        # a force with fewer components than the velocity would broadcast over it
+        f = ForceFunctional(BodyForceDensity((fields.constant_field(1.0),) * count))
+        v = VelocityField((fields.constant_field(1.0),) * 2)
+        with pytest.raises(ValueError, match="the velocity 2"):
+            virtual_power_of_force(f, v, UNIT1)
+
     def test_linear_in_velocity(self):
         rng = np.random.default_rng(9)
         f = ForceFunctional(BodyForceDensity((fields.random_polynomial(rng, 1, 3),)))
@@ -92,6 +102,35 @@ class TestEquilibriumResiduals:
         f = ForceFunctional(BodyForceDensity((fields.constant_field(1.0),)))
         interior, _ = equilibrium_residuals(s, f, UNIT1)
         assert interior == pytest.approx(1.0, abs=1e-11)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_force_needs_one_component_per_stress_axis(self, count):
+        zero = fields.constant_field(0.0)
+        s = VariationalStressDensity((zero,) * 2, ((zero,),) * 2)
+        f = ForceFunctional(BodyForceDensity((fields.constant_field(1.0),) * count))
+        with pytest.raises(ValueError, match="the stress 2"):
+            equilibrium_residuals(s, f, UNIT1)
+
+    def test_nan_traction_on_a_later_face_is_the_result(self):
+        zero = fields.constant_field(0.0)
+        s = VariationalStressDensity((zero,), ((zero,),))
+        upper = BoundaryFace(0, "upper")
+        assert list(UNIT1.faces())[-1] == upper
+        f = ForceFunctional(BodyForceDensity((zero,)),
+                            SurfaceForceDensity({upper: (fields.constant_field(np.nan),)}))
+        interior, boundary = equilibrium_residuals(s, f, UNIT1)
+        assert interior == 0.0
+        assert math.isnan(boundary)
+
+    def test_all_periodic_box_has_no_boundary_residual(self):
+        # the stress has a traction, but no face to carry it
+        zero, one = fields.constant_field(0.0), fields.constant_field(1.0)
+        s = VariationalStressDensity((zero,), ((one, one),))
+        f = ForceFunctional(BodyForceDensity((zero,)))
+        torus = ChartDomain.unit(2, periodic=range(2))
+        interior, boundary = equilibrium_residuals(s, f, torus, samples=5)
+        assert boundary == 0.0
+        assert interior <= 1e-12
 
     def test_manufactured_force_balances(self):
         rng = np.random.default_rng(31)

@@ -235,6 +235,12 @@ class TestPFormPower:
         assert p2 == pytest.approx(2 * p1, rel=1e-10)
 
 
+class TestFormSupNorm:
+    def test_nan_in_a_later_component_is_the_result(self):
+        a = PForm(1, 2, {(0,): fields.constant_field(1.0), (1,): fields.constant_field(np.nan)})
+        assert math.isnan(form_sup_norm(a, UNIT2, 3))
+
+
 class TestMaxwell:
     DOM = ChartDomain.unit(4, periodic=[0, 1, 2, 3])
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -291,6 +293,20 @@ class TestBVP:
             lambda X: 0.5 * X[..., 0] ** 2 + eps * np.sin(np.pi * X[..., 0])),))
         interior, _ = bvp_residual(bent, psi, B, T, UNIT1)
         assert interior >= 5e-3
+
+    def test_nan_loading_on_the_upper_face_is_the_result(self):
+        _, psi, _, B, _, kappa = bar_problem()
+        T = SurfaceLoadingDensity({BoundaryFace(0, "lower"): ((lambda X, x: 0.0),),
+                                   BoundaryFace(0, "upper"): ((lambda X, x: np.nan),)})
+        interior, boundary = bvp_residual(kappa, psi, B, T, UNIT1)
+        assert interior <= 1e-6
+        assert math.isnan(boundary)
+
+    def test_loading_needs_one_component_per_fiber_axis(self):
+        _, psi, _, _, _, kappa = bar_problem()
+        B = BodyLoadingDensity(((lambda X, x: 0.0),) * 2)
+        with pytest.raises(ValueError, match="the stress 1"):
+            bvp_residual(kappa, psi, B, SurfaceLoadingDensity({}), UNIT1)
 
     def test_rough_configuration_rejected(self):
         _, psi, _, B, T, _ = bar_problem()

@@ -19,41 +19,32 @@ def _sources() -> list[Path]:
     return [p for p in files if p.name != "__init__.py"]
 
 
-def _definitions(tree: ast.Module) -> list[ast.AST]:
-    return [node for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
+def _is_public_definition(node: ast.AST) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
 
 
-def _references(node: ast.AST, skip: set[int]) -> set[str]:
-    """Names referred to under `node`, not descending into the nodes in `skip`."""
+def _references(node: ast.AST) -> set[str]:
+    """Names referred to under `node`: names, attributes and imported names."""
     names: set[str] = set()
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        if id(cur) in skip:
-            continue
+    for cur in ast.walk(node):
         if isinstance(cur, ast.Name):
             names.add(cur.id)
         elif isinstance(cur, ast.Attribute):
             names.add(cur.attr)
         elif isinstance(cur, ast.alias):
             names.add(cur.name.split(".")[-1])
-        stack.extend(ast.iter_child_nodes(cur))
     return names
 
 
 def unused_public_names() -> list[str]:
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in _sources()}
-    unused = []
-    for path, tree in trees.items():
-        if path.parent != PACKAGE:
-            continue
-        for definition in _definitions(tree):
-            used = any(definition.name in _references(other, {id(definition)})
-                       for other in trees.values())
-            if not used:
-                unused.append(f"{path.stem}.{definition.name}")
-    return sorted(unused)
+    """Each top-level statement's names are collected once; a public
+    definition is used when any statement but itself refers to it."""
+    statements = [(path, node, _references(node)) for path in _sources()
+                  for node in ast.parse(path.read_text(encoding="utf-8")).body]
+    return sorted(f"{path.stem}.{node.name}" for path, node, _ in statements
+                  if path.parent == PACKAGE and _is_public_definition(node)
+                  and not any(node.name in names
+                              for _, other, names in statements if other is not node))
 
 
 def test_every_public_definition_is_used():
