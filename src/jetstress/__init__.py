@@ -37,18 +37,14 @@ from .stress import (
 from .forces import (
     BodyForceDensity,
     ForceFunctional,
-    GeneratorField,
-    SurfaceForceDensity,
     equilibrated_force_residual,
     virtual_power_of_force,
 )
 from .equilibrium import equilibrium_residuals, force_from_stress, weak_strong_consistency
 from .material import (
-    BodyLoadingDensity,
     ConstitutiveDensity,
     LagrangianDensity,
     PotentialDensities,
-    SurfaceLoadingDensity,
     bvp_residual,
     constitutive_from_lagrangian,
     energy_variation_residual,

@@ -43,6 +43,7 @@ def _parse_value(key: str, raw: str) -> Any:
 
 def load_config_file(path: str) -> dict[str, Any]:
     values: dict[str, Any] = {}
+    first: dict[str, int] = {}
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -52,7 +53,11 @@ def load_config_file(path: str) -> dict[str, Any]:
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
                 key, raw = line.split("=", 1)
-                values[key.strip()] = _parse_value(key.strip(), raw)
+                key = key.strip()
+                if key in first:
+                    raise ConfigError(f"{path}:{lineno}: {key} already set on line {first[key]}")
+                first[key] = lineno
+                values[key] = _parse_value(key, raw)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values

@@ -48,7 +48,7 @@ def equilibrium_residuals(s: VariationalStressDensity, f: ForceFunctional,
     boundary = []
     for face in dom.faces():
         cf = cauchy_face_components(tau, face, dom)
-        tf = f.surface.on_face(face, s.fiber_dim)
+        tf = f.on_face(face)
         boundary.append(sup_norm(lambda X: [ti(X) - ci(X) for ti, ci in zip(tf, cf)],
                                  face_grid(dom, face, samples)))
     return interior, float(np.maximum.reduce(boundary, initial=0.0))

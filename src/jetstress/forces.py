@@ -6,7 +6,7 @@ virtual power integrates against the plain (unsigned) face measure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -38,31 +38,15 @@ class BodyForceDensity:
 
 
 @dataclass(frozen=True)
-class SurfaceForceDensity:
-    """Per boundary face, m coefficient fields t_i against the face volume
-    element, orientation sign folded in.  Missing faces are zero."""
-
-    components: Mapping[BoundaryFace, tuple[ScalarField, ...]]
-
-    def on_face(self, face: BoundaryFace, fiber_dim: int) -> tuple[ScalarField, ...]:
-        if face in self.components:
-            return self.components[face]
-        return tuple(constant_field(0.0) for _ in range(fiber_dim))
-
-
-def zero_surface() -> SurfaceForceDensity:
-    return SurfaceForceDensity({})
-
-
-@dataclass(frozen=True)
 class ForceFunctional:
-    """Continuous force: a body density plus per-face surface densities."""
+    """Continuous force: a body density plus, per boundary face, m coefficient
+    fields t_i against the face volume element, orientation sign folded in."""
 
     body: BodyForceDensity
-    surface: SurfaceForceDensity = field(default_factory=zero_surface)
+    surface: Mapping[BoundaryFace, tuple[ScalarField, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for face, t in self.surface.components.items():
+        for face, t in self.surface.items():
             if len(t) != self.fiber_dim:
                 raise ValueError(f"{face} carries {len(t)} traction components, "
                                  f"the body {self.fiber_dim}")
@@ -70,6 +54,12 @@ class ForceFunctional:
     @property
     def fiber_dim(self) -> int:
         return self.body.fiber_dim
+
+    def on_face(self, face: BoundaryFace) -> tuple[ScalarField, ...]:
+        """The traction on one face; a face missing from the surface carries zero."""
+        if face in self.surface:
+            return self.surface[face]
+        return tuple(constant_field(0.0) for _ in range(self.fiber_dim))
 
 
 def virtual_power_of_force(f: ForceFunctional, v: VelocityField, dom: ChartDomain,
@@ -83,29 +73,21 @@ def virtual_power_of_force(f: ForceFunctional, v: VelocityField, dom: ChartDomai
 
     total = integrate_volume(power(f.body.components), dom, rule)
     for face in dom.faces():
-        total += integrate_face(power(f.surface.on_face(face, f.fiber_dim)), face, dom, rule)
+        total += integrate_face(power(f.on_face(face)), face, dom, rule)
     return total
 
 
-@dataclass(frozen=True)
-class GeneratorField:
-    """A symmetry-generator velocity field at a given configuration."""
-
-    label: str
-    velocity: VelocityField
-
-
-def translation_generators(dom: ChartDomain, fiber_dim: int) -> tuple[GeneratorField, ...]:
-    gens = []
-    for i in range(fiber_dim):
-        comps = tuple(constant_field(1.0 if j == i else 0.0) for j in range(fiber_dim))
-        gens.append(GeneratorField(f"translation_{i}", VelocityField(comps)))
-    return tuple(gens)
+def translation_generators(fiber_dim: int) -> dict[str, VelocityField]:
+    """The unit translation along each fiber axis, by label."""
+    return {f"translation_{i}": VelocityField(tuple(constant_field(1.0 if j == i else 0.0)
+                                                    for j in range(fiber_dim)))
+            for i in range(fiber_dim)}
 
 
-def rotation_generator(kappa: Configuration, i: int, j: int) -> GeneratorField:
+def rotation_generator(kappa: Configuration, i: int, j: int) -> dict[str, VelocityField]:
     """Planar rotation generator v(X) = A . kappa(X) with A antisymmetric in
-    the (i, j) fiber plane; meaningful on trivial-bundle elasticity scenarios."""
+    the (i, j) fiber plane, by label; meaningful on trivial-bundle elasticity
+    scenarios."""
     m = kappa.fiber_dim
 
     def comp(k: int) -> ScalarField:
@@ -115,12 +97,12 @@ def rotation_generator(kappa: Configuration, i: int, j: int) -> GeneratorField:
             return kappa.components[i]
         return constant_field(0.0)
 
-    return GeneratorField(f"rotation_{i}{j}", VelocityField(tuple(comp(k) for k in range(m))))
+    return {f"rotation_{i}{j}": VelocityField(tuple(comp(k) for k in range(m)))}
 
 
-def equilibrated_force_residual(f: ForceFunctional, gens: Sequence[GeneratorField],
+def equilibrated_force_residual(f: ForceFunctional, gens: Mapping[str, VelocityField],
                                 dom: ChartDomain,
                                 rule: QuadratureRule = QuadratureRule()) -> dict[str, float]:
-    """|f(v_gamma)| per generator; all zero means the force is equilibrated
-    with respect to the supplied symmetry generators."""
-    return {g.label: abs(virtual_power_of_force(f, g.velocity, dom, rule)) for g in gens}
+    """|f(v_gamma)| per generator label; all zero means the force is
+    equilibrated with respect to the supplied symmetry generators."""
+    return {label: abs(virtual_power_of_force(f, v, dom, rule)) for label, v in gens.items()}

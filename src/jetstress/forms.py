@@ -195,7 +195,6 @@ def maxwell_fields(A: PForm, metric: FlatMetric, dom: ChartDomain,
 
 
 def maxwell_vacuum_check(A: PForm, metric: FlatMetric, dom: ChartDomain,
-                         rule: QuadratureRule = QuadratureRule(),
                          scheme: FDScheme = FDScheme(),
                          samples: int = 9) -> tuple[float, float]:
     """Vacuum Maxwell residuals for a potential 1-form on a periodic 4-box:

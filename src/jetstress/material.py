@@ -31,7 +31,7 @@ from .chart import (
     integrate_volume,
 )
 from .equilibrium import equilibrium_residuals
-from .forces import BodyForceDensity, ForceFunctional, SurfaceForceDensity
+from .forces import BodyForceDensity, ForceFunctional
 from .sections import Configuration, JetPoint, JetSection, VelocityField, jet_prolong_config
 from .stress import VariationalStressDensity, virtual_power_of_stress
 
@@ -39,6 +39,12 @@ from .stress import VariationalStressDensity, virtual_power_of_stress
 JetEval = Callable[[JetPoint], np.ndarray]
 # (X (..., d), x (..., m)) -> values (...)
 FiberEval = Callable[[np.ndarray, np.ndarray], np.ndarray]
+# body loading: components B_i(X, x) over the total space; its pullback along
+# a configuration is a body force density
+BodyLoading = tuple[FiberEval, ...]
+# surface loading: per boundary face, components T_i(X, x), orientation sign
+# folded in; a missing face carries zero traction
+SurfaceLoading = Mapping[BoundaryFace, tuple[FiberEval, ...]]
 
 VERTICAL_STEP = 1e-4
 
@@ -62,23 +68,6 @@ class LagrangianDensity:
 
     def __call__(self, jp: JetPoint) -> np.ndarray:
         return np.asarray(self.func(jp), dtype=float)
-
-
-@dataclass(frozen=True)
-class BodyLoadingDensity:
-    """Components B_i(X, x) over the total space; pullback along a
-    configuration yields a body force density."""
-
-    components: tuple[FiberEval, ...]
-
-
-@dataclass(frozen=True)
-class SurfaceLoadingDensity:
-    """Per boundary face, components T_i(X, x); orientation sign folded in,
-    matching SurfaceForceDensity.  A missing face carries zero traction: its
-    pullback has no entry there, which SurfaceForceDensity reads as zero."""
-
-    components: Mapping[BoundaryFace, tuple[FiberEval, ...]]
 
 
 @dataclass(frozen=True)
@@ -143,27 +132,25 @@ def constitutive_from_lagrangian(L: LagrangianDensity, fiber_dim: int, base_dim:
 
 
 def loading_from_potential(w: PotentialDensities, fiber_dim: int,
-                           step: float = VERTICAL_STEP) -> tuple[BodyLoadingDensity, SurfaceLoadingDensity]:
+                           step: float = VERTICAL_STEP) -> tuple[BodyLoading, SurfaceLoading]:
     """Loading densities as negative vertical derivatives of the potentials."""
 
     def neg_grad(g: FiberEval, i: int) -> FiberEval:
         return lambda X, x: -_central(lambda y: g(X, y), x, (i,), step)
 
-    body = BodyLoadingDensity(tuple(neg_grad(w.body, i) for i in range(fiber_dim)))
-    surf = SurfaceLoadingDensity(
-        {face: tuple(neg_grad(g, i) for i in range(fiber_dim))
-         for face, g in w.surface.items()})
-    return body, surf
+    def components(g: FiberEval) -> tuple[FiberEval, ...]:
+        return tuple(neg_grad(g, i) for i in range(fiber_dim))
+
+    return components(w.body), {face: components(g) for face, g in w.surface.items()}
 
 
-def pullback_loading(B: BodyLoadingDensity, T: SurfaceLoadingDensity,
+def pullback_loading(B: BodyLoading, T: SurfaceLoading,
                      kappa: Configuration) -> ForceFunctional:
     """The loading force at kappa: every body and face component composed
     with the configuration."""
     return ForceFunctional(
-        BodyForceDensity(tuple(_along_config(g, kappa) for g in B.components)),
-        SurfaceForceDensity({face: tuple(_along_config(g, kappa) for g in t)
-                             for face, t in T.components.items()}))
+        BodyForceDensity(tuple(_along_config(g, kappa) for g in B)),
+        {face: tuple(_along_config(g, kappa) for g in t) for face, t in T.items()})
 
 
 def total_energy(kappa: Configuration, L: LagrangianDensity | None,
@@ -204,8 +191,8 @@ def energy_variation_residual(kappa: Configuration, v: VelocityField,
 
 
 def bvp_residual(kappa: Configuration, psi: ConstitutiveDensity,
-                 body_loading: BodyLoadingDensity,
-                 surface_loading: SurfaceLoadingDensity,
+                 body_loading: BodyLoading,
+                 surface_loading: SurfaceLoading,
                  dom: ChartDomain,
                  scheme: FDScheme = FDScheme(),
                  samples: int = 17) -> tuple[float, float]:

@@ -233,16 +233,14 @@ def _scenario_null_stress(cfg: ScenarioConfig, run: _Runner) -> None:
 
 
 def _bar_setup() -> tuple[ChartDomain, material.LagrangianDensity,
-                          material.BodyLoadingDensity, material.SurfaceLoadingDensity]:
+                          material.BodyLoading, material.SurfaceLoading]:
     dom = ChartDomain.unit(1)
     L = material.LagrangianDensity(lambda jp: 0.5 * jp.xprime[..., 0, 0] ** 2)
-    body = material.BodyLoadingDensity(((lambda X, x: -1.0),))
-    upper = chart.BoundaryFace(0, "upper")
-    lower = chart.BoundaryFace(0, "lower")
-    surf = material.SurfaceLoadingDensity({
-        upper: ((lambda X, x: 1.0),),
-        lower: ((lambda X, x: 0.0),),
-    })
+    body = ((lambda X, x: -1.0),)
+    surf = {
+        chart.BoundaryFace(0, "upper"): ((lambda X, x: 1.0),),
+        chart.BoundaryFace(0, "lower"): ((lambda X, x: 0.0),),
+    }
     return dom, L, body, surf
 
 
@@ -298,7 +296,7 @@ def _scenario_equilibrated(cfg: ScenarioConfig, run: _Runner) -> None:
     rule, scheme = _rule(cfg), _scheme(cfg)
     s = random_stress(rng, d, m, with_lower=False)
     f = equilibrium.force_from_stress(s, dom, scheme)
-    gens = forces.translation_generators(dom, m)
+    gens = forces.translation_generators(m)
     for label, value in forces.equilibrated_force_residual(f, gens, dom, rule).items():
         run.add(label, value, 1e-8)
 
@@ -317,12 +315,12 @@ def plane_wave_potential(k: np.ndarray, eps: np.ndarray) -> forms.PForm:
 def _scenario_maxwell(cfg: ScenarioConfig, run: _Runner) -> None:
     dom = ChartDomain.unit(4, periodic=range(4))
     metric = forms.minkowski()
-    rule, scheme = _rule(cfg), _scheme(cfg)
+    scheme = _scheme(cfg)
     # null wavevector (light-like in the (-,+,+,+) metric), transverse amplitude
     k_null = np.array([1.0, 1.0, 0.0, 0.0])
     eps = np.array([0.0, 0.0, 1.0, 0.0])
     A = plane_wave_potential(k_null, eps)
-    dF, J = forms.maxwell_vacuum_check(A, metric, dom, rule, scheme, cfg.samples)
+    dF, J = forms.maxwell_vacuum_check(A, metric, dom, scheme, cfg.samples)
     run.add("null_wave_dF", dF, 1e-6)
     run.add("null_wave_J", J, 1e-6)
 
@@ -412,6 +410,12 @@ def run_scenario(cfg: ScenarioConfig) -> Report:
         raise ConfigError(f"{cfg.scenario} supports d in {sorted(allowed_d)}, got {cfg.d}")
     run = _Runner(cfg)
     runner(cfg, run)
+    # check names are known only once the runner has added its checks
+    names = [c.name for c in run.checks]
+    stray = [k for k in cfg.tolerances if k != "default" and k not in names]
+    if stray:
+        raise ConfigError(f"tolerance {', '.join(stray)} matches no check of "
+                          f"{cfg.scenario}; its checks: {', '.join(names)}")
     # a report without checks verifies nothing, so it does not pass
     passed = bool(run.checks) and all(c.passed for c in run.checks)
     return Report(cfg.scenario, asdict(run.cfg), run.checks, passed)

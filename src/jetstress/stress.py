@@ -26,7 +26,7 @@ from .chart import (
     partial_derivative,  # noqa: F401
 )
 from .fields import scaled
-from .forces import BodyForceDensity, SurfaceForceDensity
+from .forces import BodyForceDensity
 from .sections import VelocityField, VelocityJet
 
 
@@ -153,7 +153,7 @@ def cauchy_face_components(tau: TractionStressDensity, face: BoundaryFace,
                  for i in range(tau.fiber_dim))
 
 
-def cauchy_all_faces(tau: TractionStressDensity, dom: ChartDomain) -> SurfaceForceDensity:
+def cauchy_all_faces(tau: TractionStressDensity,
+                     dom: ChartDomain) -> dict[BoundaryFace, tuple[ScalarField, ...]]:
     """Cauchy mapping on every boundary face of the chart."""
-    return SurfaceForceDensity(
-        {face: cauchy_face_components(tau, face, dom) for face in dom.faces()})
+    return {face: cauchy_face_components(tau, face, dom) for face in dom.faces()}

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetstress import fields, forms, material, scenarios, stress
+from jetstress import fields, forms, scenarios, stress
 from jetstress.chart import BoundaryFace
 from jetstress.cli import (
     EXIT_CONFIG,
@@ -264,8 +264,7 @@ class TestNanInOnePieceFailsItsCheck:
     def test_upper_face_loading(self, monkeypatch):
         dom, L, body, surf = scenarios._bar_setup()
         assert list(dom.faces())[-1] == BoundaryFace(0, "upper")
-        nan_surf = material.SurfaceLoadingDensity(
-            {**surf.components, BoundaryFace(0, "upper"): ((lambda X, x: np.nan),)})
+        nan_surf = {**surf, BoundaryFace(0, "upper"): ((lambda X, x: np.nan),)}
         monkeypatch.setattr(scenarios, "_bar_setup", lambda: (dom, L, body, nan_surf))
         r = run_scenario(ScenarioConfig("hyperelastic_1d_bar", **TINY["hyperelastic_1d_bar"]))
         assert self.nan_checks(r) == {"boundary": "le"}
@@ -417,6 +416,24 @@ class TestMain:
         path.write_text("scenario = stokes\nseed = 1\n")
         assert main(["--config", str(path), "--seed", "9"]) == EXIT_PASS
         assert json.loads(capsys.readouterr().out)["config"]["seed"] == 9
+
+    def test_duplicated_config_key_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("scenario = stokes\nd = 2\n# a comment\nd = 3\n")
+        assert main(["--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{path}:4: d already set on line 2" in err
+
+    def test_tolerance_matching_no_check_is_config_error(self, capsys):
+        argv = ["--scenario", "hyperelastic_1d_bar"]
+        assert main(argv + ["--tolerance", "interiour=1e-3"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "interiour" in captured.err
+        assert "interior, boundary, sensitivity" in captured.err
+        assert main(argv + ["--tolerance", "interior=1e-3"]) == EXIT_PASS
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [c["tolerance"] for c in checks if c["name"] == "interior"] == [1e-3]
 
     def test_calls_share_no_tolerance_or_seed(self, capsys):
         # one parser serves every call; nothing of one call's flags reaches the next

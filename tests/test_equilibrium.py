@@ -13,12 +13,10 @@ from jetstress.equilibrium import (
 from jetstress.forces import (
     BodyForceDensity,
     ForceFunctional,
-    SurfaceForceDensity,
     equilibrated_force_residual,
     rotation_generator,
     translation_generators,
     virtual_power_of_force,
-    zero_surface,
 )
 from jetstress.sections import Configuration, VelocityField
 from jetstress.stress import (
@@ -39,7 +37,7 @@ def poly_stress(rng, d, m):
 
 class TestForcePower:
     def test_zero_force(self):
-        f = ForceFunctional(BodyForceDensity((fields.constant_field(0.0),)), zero_surface())
+        f = ForceFunctional(BodyForceDensity((fields.constant_field(0.0),)), {})
         v = VelocityField((ScalarField(lambda X: X[..., 0]),))
         assert virtual_power_of_force(f, v, UNIT1) == 0.0
 
@@ -53,16 +51,24 @@ class TestForcePower:
         # unit traction on the upper end of the interval, unit velocity
         face = BoundaryFace(0, "upper")
         f = ForceFunctional(BodyForceDensity((fields.constant_field(0.0),)),
-                            SurfaceForceDensity({face: (fields.constant_field(1.0),)}))
+                            {face: (fields.constant_field(1.0),)})
         v = VelocityField((fields.constant_field(1.0),))
         assert virtual_power_of_force(f, v, UNIT1) == pytest.approx(1.0, abs=1e-12)
+
+    def test_missing_face_carries_zero_traction(self):
+        upper, lower = BoundaryFace(1, "upper"), BoundaryFace(1, "lower")
+        f = ForceFunctional(BodyForceDensity((fields.constant_field(0.0),) * 2),
+                            {upper: (fields.constant_field(1.0), fields.constant_field(2.0))})
+        t = f.on_face(lower)
+        assert len(t) == 2
+        assert [ti(np.array([0.3, 0.0])) for ti in t] == [0.0, 0.0]
+        assert f.on_face(upper) is f.surface[upper]
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_face_needs_one_component_per_fiber_axis(self, count):
         # a short face tuple would broadcast over the velocity, or be zipped short
         body = BodyForceDensity((fields.constant_field(0.0),) * 2)
-        surface = SurfaceForceDensity(
-            {BoundaryFace(0, "upper"): (fields.constant_field(1.0),) * count})
+        surface = {BoundaryFace(0, "upper"): (fields.constant_field(1.0),) * count}
         with pytest.raises(ValueError, match="traction components"):
             ForceFunctional(body, surface)
 
@@ -91,7 +97,7 @@ class TestEquilibriumResiduals:
     def test_all_zero(self):
         s = VariationalStressDensity((fields.constant_field(0.0),),
                                      ((fields.constant_field(0.0),),))
-        f = ForceFunctional(BodyForceDensity((fields.constant_field(0.0),)), zero_surface())
+        f = ForceFunctional(BodyForceDensity((fields.constant_field(0.0),)), {})
         interior, boundary = equilibrium_residuals(s, f, UNIT1)
         assert interior == 0.0
         assert boundary == 0.0
@@ -117,7 +123,7 @@ class TestEquilibriumResiduals:
         upper = BoundaryFace(0, "upper")
         assert list(UNIT1.faces())[-1] == upper
         f = ForceFunctional(BodyForceDensity((zero,)),
-                            SurfaceForceDensity({upper: (fields.constant_field(np.nan),)}))
+                            {upper: (fields.constant_field(np.nan),)})
         interior, boundary = equilibrium_residuals(s, f, UNIT1)
         assert interior == 0.0
         assert math.isnan(boundary)
@@ -184,8 +190,8 @@ class TestWeakStrong:
 
 class TestEquilibratedForces:
     def test_zero_force_trivially_equilibrated(self):
-        f = ForceFunctional(BodyForceDensity((fields.constant_field(0.0),) * 2), zero_surface())
-        gens = translation_generators(UNIT2, 2)
+        f = ForceFunctional(BodyForceDensity((fields.constant_field(0.0),) * 2), {})
+        gens = translation_generators(2)
         res = equilibrated_force_residual(f, gens, UNIT2)
         assert set(res) == {"translation_0", "translation_1"}
         assert all(r == 0.0 for r in res.values())
@@ -194,7 +200,7 @@ class TestEquilibratedForces:
         # b = (1, 0) on the unit square: the x-translation power is 1
         f = ForceFunctional(BodyForceDensity((fields.constant_field(1.0),
                                               fields.constant_field(0.0))))
-        res = equilibrated_force_residual(f, translation_generators(UNIT2, 2), UNIT2)
+        res = equilibrated_force_residual(f, translation_generators(2), UNIT2)
         assert res["translation_0"] == pytest.approx(1.0, abs=1e-12)
         assert res["translation_1"] == 0.0
 
@@ -207,12 +213,19 @@ class TestEquilibratedForces:
             tuple(tuple(fields.random_polynomial(rng, 2, 3) for _ in range(2))
                   for _ in range(2)))
         f = force_from_stress(s, UNIT2)
-        res = equilibrated_force_residual(f, translation_generators(UNIT2, 2), UNIT2)
+        res = equilibrated_force_residual(f, translation_generators(2), UNIT2)
         assert max(res.values()) <= 1e-8
+
+    def test_merged_translation_and_rotation_set(self):
+        kappa = Configuration((ScalarField(lambda X: X[..., 0]), ScalarField(lambda X: X[..., 1])))
+        gens = {**translation_generators(2), **rotation_generator(kappa, 0, 1)}
+        f = ForceFunctional(BodyForceDensity((fields.constant_field(0.0),) * 2))
+        res = equilibrated_force_residual(f, gens, UNIT2)
+        assert res == {"translation_0": 0.0, "translation_1": 0.0, "rotation_01": 0.0}
 
     def test_rotation_generator_components(self):
         kappa = Configuration((ScalarField(lambda X: X[..., 0]), ScalarField(lambda X: X[..., 1])))
-        g = rotation_generator(kappa, 0, 1)
-        assert g.label == "rotation_01"
-        v = g.velocity.value([0.3, 0.8])
+        (label, g), = rotation_generator(kappa, 0, 1).items()
+        assert label == "rotation_01"
+        v = g.value([0.3, 0.8])
         assert np.allclose(v, [-0.8, 0.3])

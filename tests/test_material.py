@@ -12,11 +12,9 @@ from jetstress.chart import (
     uniform_grid,
 )
 from jetstress.material import (
-    BodyLoadingDensity,
     ConstitutiveDensity,
     LagrangianDensity,
     PotentialDensities,
-    SurfaceLoadingDensity,
     bvp_residual,
     constitutive_from_lagrangian,
     energy_variation_residual,
@@ -103,39 +101,39 @@ class TestLoadingFromPotential:
     def test_constant_potential(self):
         w = PotentialDensities(lambda X, x: 5.0, {})
         B, T = loading_from_potential(w, 1)
-        assert B.components[0](np.array([0.5]), np.array([0.3])) == 0.0
-        assert T.components == {}
+        assert B[0](np.array([0.5]), np.array([0.3])) == 0.0
+        assert T == {}
 
     def test_linear_potential(self):
         # w = g x^1: B_1 = -g
         w = PotentialDensities(lambda X, x: 9.8 * float(x[0]), {})
         B, _ = loading_from_potential(w, 1)
-        assert B.components[0](np.array([0.5]), np.array([0.3])) == pytest.approx(-9.8, abs=1e-8)
+        assert B[0](np.array([0.5]), np.array([0.3])) == pytest.approx(-9.8, abs=1e-8)
 
     def test_quadratic_potential(self):
         # w = (1/2)|x|^2: B = -x
         w = PotentialDensities(lambda X, x: 0.5 * float(np.dot(x, x)), {})
         B, _ = loading_from_potential(w, 2)
         x = np.array([0.4, -1.1])
-        got = np.array([B.components[i](np.array([0.5]), x) for i in range(2)])
+        got = np.array([B[i](np.array([0.5]), x) for i in range(2)])
         assert np.allclose(got, -x, atol=1e-8)
 
     def test_surface_potential(self):
         face = BoundaryFace(0, "upper")
         w = PotentialDensities(lambda X, x: 0.0, {face: lambda X, x: -float(x[0])})
         _, T = loading_from_potential(w, 1)
-        t = T.components[face]
+        t = T[face]
         assert t[0](np.array([1.0]), np.array([0.3])) == pytest.approx(1.0, abs=1e-8)
 
     def test_pullback_loading(self):
         face = BoundaryFace(0, "upper")
-        B = BodyLoadingDensity(((lambda X, x: float(X[0] + x[0])),))
-        T = SurfaceLoadingDensity({face: ((lambda X, x: float(X[0] * x[0])),)})
+        B = ((lambda X, x: float(X[0] + x[0])),)
+        T = {face: ((lambda X, x: float(X[0] * x[0])),)}
         kappa = Configuration((ScalarField(lambda X: X[..., 0] ** 2),))
         f = pullback_loading(B, T, kappa)
         assert f.body.value([0.5])[0] == pytest.approx(0.75)
-        assert f.surface.on_face(face, 1)[0]([0.5]) == pytest.approx(0.125)
-        assert f.surface.on_face(BoundaryFace(0, "lower"), 1)[0]([0.0]) == 0.0
+        assert f.on_face(face)[0]([0.5]) == pytest.approx(0.125)
+        assert f.on_face(BoundaryFace(0, "lower"))[0]([0.0]) == 0.0
 
 
 class TestBatchedJetProtocol:
@@ -166,7 +164,7 @@ class TestBatchedJetProtocol:
             {face: lambda X, x: np.sin(x[..., 0] * x[..., 1])})
         B, T = loading_from_potential(w, self.M)
         jp = self.batch(np.random.default_rng(12))
-        for g in B.components + T.components[face]:
+        for g in B + T[face]:
             got = g(jp.X, jp.x)
             assert got.shape == (self.N,)
             assert np.array_equal(got, [g(jp.X[k], jp.x[k]) for k in range(self.N)])
@@ -269,15 +267,15 @@ class TestBVP:
     def test_trivial_problem(self):
         psi = ConstitutiveDensity(((lambda jp: 0.0),), (((lambda jp: 0.0),),))
         kappa = Configuration((fields.constant_field(0.0),))
-        B = BodyLoadingDensity(((lambda X, x: 0.0),))
-        T = SurfaceLoadingDensity({})
+        B = ((lambda X, x: 0.0),)
+        T = {}
         assert bvp_residual(kappa, psi, B, T, UNIT1) == (0.0, 0.0)
 
     def test_unbalanced_loading(self):
         psi = ConstitutiveDensity(((lambda jp: 0.0),), (((lambda jp: 0.0),),))
         kappa = Configuration((fields.constant_field(0.0),))
-        B = BodyLoadingDensity(((lambda X, x: 1.0),))
-        interior, _ = bvp_residual(kappa, psi, B, SurfaceLoadingDensity({}), UNIT1)
+        B = ((lambda X, x: 1.0),)
+        interior, _ = bvp_residual(kappa, psi, B, {}, UNIT1)
         assert interior == pytest.approx(1.0)
 
     def test_manufactured_bar_solution(self):
@@ -296,17 +294,24 @@ class TestBVP:
 
     def test_nan_loading_on_the_upper_face_is_the_result(self):
         _, psi, _, B, _, kappa = bar_problem()
-        T = SurfaceLoadingDensity({BoundaryFace(0, "lower"): ((lambda X, x: 0.0),),
-                                   BoundaryFace(0, "upper"): ((lambda X, x: np.nan),)})
+        T = {BoundaryFace(0, "lower"): ((lambda X, x: 0.0),),
+             BoundaryFace(0, "upper"): ((lambda X, x: np.nan),)}
         interior, boundary = bvp_residual(kappa, psi, B, T, UNIT1)
         assert interior <= 1e-6
         assert math.isnan(boundary)
 
     def test_loading_needs_one_component_per_fiber_axis(self):
         _, psi, _, _, _, kappa = bar_problem()
-        B = BodyLoadingDensity(((lambda X, x: 0.0),) * 2)
+        B = ((lambda X, x: 0.0),) * 2
         with pytest.raises(ValueError, match="the stress 1"):
-            bvp_residual(kappa, psi, B, SurfaceLoadingDensity({}), UNIT1)
+            bvp_residual(kappa, psi, B, {}, UNIT1)
+
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_surface_loading_needs_one_component_per_fiber_axis(self, count):
+        _, _, _, B, _, kappa = bar_problem()
+        T = {BoundaryFace(0, "upper"): ((lambda X, x: 1.0),) * count}
+        with pytest.raises(ValueError, match="traction components"):
+            pullback_loading(B, T, kappa)
 
     def test_rough_configuration_rejected(self):
         _, psi, _, B, T, _ = bar_problem()

@@ -1,9 +1,14 @@
-"""Every public top-level function and class of the library has a caller.
+"""Every public top-level function and class of the library has a caller,
+and every parameter of a library function is read.
 
 A name counts as used when some module of `src/jetstress` or `tests/`, other
 than the package `__init__.py`, refers to it in code (a name, an attribute or
 an import) outside its own definition.  Re-exporting a name from
 `__init__.py` does not count: that is where dead code hides.
+
+A parameter counts as read when the body of its function loads it.  `self`
+and `cls` are exempt, and lambdas are left out: a constant loading must still
+accept `(X, x)` to fit the field protocol.
 """
 from __future__ import annotations
 
@@ -47,5 +52,24 @@ def unused_public_names() -> list[str]:
                               for _, other, names in statements if other is not node))
 
 
+def unread_parameters() -> list[str]:
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            params = {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                      if p is not None} - {"self", "cls"}
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            found += [f"{path.stem}.{node.name}({p})" for p in sorted(params - read)]
+    return sorted(found)
+
+
 def test_every_public_definition_is_used():
     assert unused_public_names() == []
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters() == []

@@ -12,7 +12,7 @@ from jetstress.chart import (
     partial_derivative,
     uniform_grid,
 )
-from jetstress.forces import SurfaceForceDensity
+from jetstress.forces import BodyForceDensity, ForceFunctional
 from jetstress.sections import VelocityField, VelocityJet, jet_prolong_velocity
 from jetstress.stress import (
     TractionStressDensity,
@@ -315,10 +315,11 @@ class TestCauchy:
     def test_single_face_density(self):
         tau = TractionStressDensity(((fields.constant_field(3.0),),))
         face = BoundaryFace(0, "upper")
-        sf = SurfaceForceDensity({face: cauchy_face_components(tau, face, UNIT1)})
-        assert sf.on_face(face, 1)[0]([1.0]) == pytest.approx(3.0)
+        f = ForceFunctional(BodyForceDensity((fields.constant_field(0.0),)),
+                            {face: cauchy_face_components(tau, face, UNIT1)})
+        assert f.on_face(face)[0]([1.0]) == pytest.approx(3.0)
         other = BoundaryFace(0, "lower")
-        assert sf.on_face(other, 1)[0]([0.0]) == 0.0
+        assert f.on_face(other)[0]([0.0]) == 0.0
 
 
 def test_null_stress_zero_virtual_power():
