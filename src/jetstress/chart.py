@@ -11,18 +11,22 @@ The jet-coordinate densities of `material` follow the same contract.  A
 coefficient handed to the quadrature may also carry leading axes in front of
 the node axis, (..., N), and then yields one integral per leading index.
 This module is the one place that walks a point set (`sup_norm` over a probe
-lattice, the quadrature sum), builds a gradient block (`gradient`) or sums a
-divergence (`fd_divergence`); the identity modules compose these.  A finite
-difference calls its field once, on the stencil rows of every point stacked
-into one point set, so a nested derivative such as d(*dA) also costs one call
-of the innermost field; only a block of more than _FD_ROWS rows is split into
-slices of that many.  The stencil weights are exact rationals rounded once to
-float (`_fd_weights`), so a centred stencil's middle weight is exactly 0, and a periodic axis
-leaves that row out: order * N rows per derivative there, against
-(order + 1) * N on a boundary axis.  `partial_derivative` and `gradient`
-share one code path (`_stencil` builds the block and its weight table,
-`_differentiate` evaluates the block and weighs it); `gradient` builds each
-axis's block once and hands it to all of its fields.
+lattice, the quadrature sum), builds a first jet (`jet`) or sums a divergence
+(`fd_divergence`); the identity modules compose these.  A finite difference
+calls its field once, on the stencil rows of every point stacked into one
+point set, so a nested derivative such as d(*dA) also costs one call of the
+innermost field; only a block of more than _FD_ROWS rows is split into slices
+of that many.  `jet` calls each of its fields once too, on the points followed
+by every axis's stencil rows, and returns the values and the (m, d) gradient
+block.  The stencil weights are exact rationals rounded once to float
+(`_fd_weights`), so a centred stencil's middle weight is exactly 0, and an
+axis on which no point of the set shifts its stencil leaves that row out:
+order * N rows per derivative there, against (order + 1) * N on a boundary
+axis where some point lies within stencil reach of a face.  Every periodic
+axis is of the first kind, and so is every boundary axis of a Gauss node set.
+`partial_derivative` and `jet` share one code path (`_stencil` builds the
+block and its weight table, `_evaluate` calls a field on it and `_weigh` sums
+the weighted values).
 
 Node sets are shared: `volume_nodes`, `face_nodes`, `uniform_grid` and
 `face_grid` build each set once per argument tuple (for the last
@@ -228,7 +232,7 @@ def _shift_weights(r: int) -> np.ndarray:
     """(2r + 1, 2r + 1) first-derivative weights: column shift + r holds the
     weights of the stencil shift - r .. shift + r, in offset order.  They are
     exact up to one rounding, so the middle entry of the centred column r is
-    0.0 and a periodic stencil leaves that row out."""
+    0.0 and an unshifted stencil leaves that row out."""
     w = np.array([_fd_weights(tuple(range(s - r, s + r + 1))) for s in range(-r, r + 1)]).T
     w.flags.writeable = False
     return w
@@ -240,11 +244,12 @@ def _new_stencil(P: np.ndarray, axis: int, dom: ChartDomain,
     P (N, d), read-only because every field differentiated at P along `axis`
     is handed the same block, and its (k, N) weight table; row j * N + n of
     the block probes point n at one offset and table[j, n] is that probe's
-    weight.  On a boundary axis k = order + 1 and row j * N + n probes offset
-    shift_n - r + j.  A periodic axis never shifts its stencil and leaves out
-    the centre offset, whose weight is exactly 0: there k = order, the rows
-    probe offsets -r .. -1, 1 .. r, and the table is the one (order, 1)
-    column of their weights, which every point shares."""
+    weight.  Where no point shifts its stencil, as on every periodic axis,
+    the centre offset, whose weight is exactly 0, is left out: there
+    k = order, the rows probe offsets -r .. -1, 1 .. r, and the table is the
+    one (order, 1) column of their weights, which every point shares.  Where
+    some point lies within stencil reach of a face, k = order + 1 and row
+    j * N + n probes offset shift_n - r + j."""
     d = dom.dim
     if not 0 <= axis < d:
         raise ValueError(f"axis {axis} out of range for dim {d}")
@@ -257,11 +262,11 @@ def _new_stencil(P: np.ndarray, axis: int, dom: ChartDomain,
     # contiguous, so that the (k, N) probe arithmetic below runs on a unit stride
     x = np.ascontiguousarray(P[:, axis])
     periodic = dom.is_periodic(axis)
-    if periodic:
+    shifts = None if periodic else _stencil_shifts(x, lo, hi, h, r)
+    if shifts is None or not shifts.any():
         kept = np.flatnonzero(weights[:, r])
         offsets, table = (kept - r)[:, None], weights[kept, r:r + 1]
     else:
-        shifts = _stencil_shifts(x, lo, hi, h, r)
         offsets = shifts + np.arange(-r, r + 1)[:, None]
         # np.take returns the table row-major, like the values it weighs;
         # [:, idx] would return it column-major, which multiplies them more slowly
@@ -304,15 +309,19 @@ def _stencil(P: np.ndarray, axis: int, dom: ChartDomain,
     return block, table
 
 
-def _differentiate(f: Evaluator, block: np.ndarray, table: np.ndarray, h: float) -> np.ndarray:
-    """(N,) derivative values of f from its stencil block and weight table:
-    f is called on the block in slices of at most _FD_ROWS rows, and each
-    point's weighted values are summed in offset order, then divided by h."""
-    vals = np.concatenate([np.asarray(f(block[i:i + _FD_ROWS]), dtype=float)
-                           for i in range(0, max(len(block), 1), _FD_ROWS)])
-    vals = vals.reshape(len(table), -1)
+def _evaluate(f: Evaluator, block: np.ndarray, out: np.ndarray) -> None:
+    """f's values on the (rows, d) block into out (rows,), in slices of at
+    most _FD_ROWS rows."""
+    for i in range(0, len(block), _FD_ROWS):
+        out[i:i + _FD_ROWS] = f(block[i:i + _FD_ROWS])
+
+
+def _weigh(vals: np.ndarray, table: np.ndarray, h: float) -> np.ndarray:
+    """(..., N) derivative values from the (..., k, N) stencil values, which
+    are weighed in place by the (k, N) or (k, 1) table, summed in offset
+    order and divided by h."""
     vals *= table
-    return np.add.reduce(vals, axis=0, initial=0.0) / h
+    return np.add.reduce(vals, axis=-2, initial=0.0) / h
 
 
 def partial_derivative(
@@ -328,36 +337,50 @@ def partial_derivative(
     Wraps coordinates on periodic axes; uses one-sided stencils of the same
     order within stencil reach of a boundary face.  Every stencil row of every
     point goes to f in one call, on an ((order + 1) * N, d) block, or an
-    (order * N, d) block on a periodic axis, which has no row for the
-    zero-weight centre offset; so a nested derivative hands its inner
-    derivative all of its rows at once.  Each row's value is then weighed by
-    its entry of the stencil's weight table.  A block of more than _FD_ROWS
-    rows goes to f in consecutive slices of that many rows, which bounds the
-    memory of a nested derivative on a large lattice.
+    (order * N, d) block on an axis where no point shifts its stencil (every
+    periodic axis), which has no row for the zero-weight centre offset; so a
+    nested derivative hands its inner derivative all of its rows at once.
+    Each row's value is then weighed by its entry of the stencil's weight
+    table.  A block of more than _FD_ROWS rows goes to f in consecutive
+    slices of that many rows, which bounds the memory of a nested derivative
+    on a large lattice.
     An (N, d) p is used as it is, not reshaped, so that a node set finds its
     kept stencils.
     """
     p = np.asarray(p, dtype=float)
     P = p if p.ndim == 2 else p.reshape(-1, dom.dim)
-    out = _differentiate(f, *_stencil(P, axis, dom, scheme), scheme.step)
+    block, table = _stencil(P, axis, dom, scheme)
+    vals = np.empty(len(block))
+    _evaluate(f, block, vals)
+    out = _weigh(vals.reshape(len(table), -1), table, scheme.step)
     return float(out[0]) if p.ndim == 1 else out.reshape(p.shape[:-1])
 
 
-def gradient(fs: Sequence[Evaluator], X, dom: ChartDomain,
-             scheme: FDScheme = FDScheme()) -> np.ndarray:
-    """(..., m, d) block of base derivatives: entry [..., i, a] differentiates
-    fs[i] along axis a at X.  Each axis builds its stencil block and weight
-    table once and hands that block to every field, so each field is called
-    once per axis (per _FD_ROWS slice) and entry [..., i, a] is bitwise the
+def jet(fs: Sequence[Evaluator], X, dom: ChartDomain,
+        scheme: FDScheme = FDScheme()) -> tuple[np.ndarray, np.ndarray]:
+    """First jet of the fields fs at X (..., d): the values (..., m) and the
+    (..., m, d) block of base derivatives, entry [..., i, a] differentiating
+    fs[i] along axis a.  Each field is called once (per _FD_ROWS slice), on
+    one block of X's N rows followed by every axis's stencil rows, so the
+    values are bitwise fs[i](X) and entry [..., i, a] is bitwise the
     partial_derivative of fs[i] along a, without going through it."""
     X = np.asarray(X, dtype=float)
     P = X if X.ndim == 2 else X.reshape(-1, dom.dim)
-    out = np.empty((len(P), len(fs), dom.dim))
-    for a in range(dom.dim):
-        block, table = _stencil(P, a, dom, scheme)
-        for i, f in enumerate(fs):
-            out[:, i, a] = _differentiate(f, block, table, scheme.step)
-    return out.reshape(X.shape[:-1] + out.shape[1:])
+    stencils = [_stencil(P, a, dom, scheme) for a in range(dom.dim)]
+    block = np.concatenate([P] + [b for b, _ in stencils])
+    vals = np.empty((len(fs), len(block)))
+    for f, out in zip(fs, vals):
+        _evaluate(f, block, out)
+    grad = np.empty((len(P), len(fs), dom.dim))
+    start = N = len(P)
+    for a, (_, table) in enumerate(stencils):
+        stop = start + len(table) * N
+        grad[..., a] = _weigh(vals[:, start:stop].reshape(len(fs), len(table), N),
+                              table, scheme.step).T
+        start = stop
+    # a copy, so that the values do not hold the whole block
+    return (vals[:, :N].T.copy().reshape(X.shape[:-1] + (len(fs),)),
+            grad.reshape(X.shape[:-1] + grad.shape[1:]))
 
 
 def fd_divergence(omega: Sequence[Evaluator], X, dom: ChartDomain,
@@ -442,10 +465,13 @@ def _weighted_sum(coeff: Evaluator, nodes: tuple[np.ndarray, np.ndarray]):
     """Quadrature sum of coeff over (points, weights): a float for values of
     shape (N,) or a constant, an array of shape (...) for values (..., N),
     one integral per leading index.  Each integral is the same dot product
-    as the one of a lone (N,) row, so it is bitwise equal to it."""
+    as the one of a lone (N,) row, so it is bitwise equal to it: the rows are
+    made contiguous first, because a dot product over strided values may sum
+    them in another order."""
     pts, wts = nodes
     vals = np.asarray(coeff(pts), dtype=float)
-    rows = np.broadcast_to(vals, vals.shape[:-1] + wts.shape).reshape(-1, len(wts))
+    rows = np.ascontiguousarray(
+        np.broadcast_to(vals, vals.shape[:-1] + wts.shape).reshape(-1, len(wts)))
     sums = [np.dot(wts, row) for row in rows]
     return float(sums[0]) if vals.ndim < 2 else np.array(sums).reshape(vals.shape[:-1])
 

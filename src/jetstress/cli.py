@@ -140,12 +140,18 @@ def main(argv: list[str] | None = None) -> int:
             values["scenario"] = args.scenario
         if args.seed is not None:
             values["seed"] = args.seed
+        # a flag overrides a file's tolerance, but not an earlier flag
+        flagged: set[str] = set()
         for spec in args.tolerance:
             if "=" not in spec:
                 raise ConfigError(f"--tolerance expects NAME=VALUE, got {spec!r}")
             name, raw = spec.split("=", 1)
+            name = name.strip()
+            if name in flagged:
+                raise ConfigError(f"--tolerance {name} given twice")
+            flagged.add(name)
             try:
-                values[f"tolerance.{name.strip()}"] = float(raw)
+                values[f"tolerance.{name}"] = float(raw)
             except ValueError as exc:
                 raise ConfigError(f"bad tolerance value {raw!r}") from exc
         cfg = build_config(values)

@@ -179,6 +179,11 @@ def _scenario_exterior_jet(cfg: ScenarioConfig, run: _Runner) -> None:
 
 
 def _scenario_divergence(cfg: ScenarioConfig, run: _Runner) -> None:
+    """div(s) . v against the pairing of v's jet with exterior_jet(traction
+    of s) minus s, on the probe lattice.  Both sides share one discrete
+    gradient, so the check holds for any constant multiple of the derivative
+    operator; its calculus anchor is `weak_strong`, which weighs the same
+    divergence against a face term with no derivative in it."""
     d, m = cfg.d, cfg.m
     dom = ChartDomain.unit(d)
     rng = _rng(cfg)
@@ -259,14 +264,21 @@ def _scenario_bar(cfg: ScenarioConfig, run: _Runner) -> None:
     run.add("sensitivity", perturbed, 5e-3, comparator="ge")
 
 
+def _exponents(n: int, degree: int) -> list[tuple[int, ...]]:
+    """Exponent tuples of n variables of total degree at most `degree`, in
+    np.ndindex order (last variable fastest): the tuples of np.ndindex over
+    (degree + 1,) * n whose sum is at most `degree`, without visiting the
+    others."""
+    if n == 0:
+        return [()]
+    return [(p,) + rest for p in range(degree + 1) for rest in _exponents(n - 1, degree - p)]
+
+
 def random_lagrangian(rng: np.random.Generator, m: int, d: int,
                       degree: int = 3) -> material.LagrangianDensity:
     """Polynomial Lagrangian of bounded total degree in the vertical coordinates."""
-    terms = []
-    for powers in np.ndindex(*((degree + 1,) * (m + m * d))):
-        if sum(powers) == 0 or sum(powers) > degree:
-            continue
-        terms.append((rng.uniform(-1.0, 1.0), np.array(powers)))
+    terms = [(rng.uniform(-1.0, 1.0), np.array(powers))
+             for powers in _exponents(m + m * d, degree) if any(powers)]
 
     def ev(jp: JetPoint) -> np.ndarray:
         coords = np.concatenate([jp.x, jp.xprime.reshape(*jp.xprime.shape[:-2], -1)], axis=-1)
@@ -276,6 +288,12 @@ def random_lagrangian(rng: np.random.Generator, m: int, d: int,
 
 
 def _scenario_energy_variation(cfg: ScenarioConfig, run: _Runner) -> None:
+    """The rate of the stored energy along v against the virtual power of
+    the hyperelastic stress on v.  Both sides take the configuration's jet
+    from one discrete gradient, so the check holds for any constant multiple
+    of the base derivative; its calculus anchor is `material`'s vertical
+    central difference (VERTICAL_STEP), which acceptance criteria 06-08
+    reject when it is mis-scaled."""
     d, m = cfg.d, cfg.m
     dom = ChartDomain.unit(d)
     rng = _rng(cfg)
@@ -365,17 +383,23 @@ def _scenario_pform_leibniz(cfg: ScenarioConfig, run: _Runner) -> None:
     # integrals of dg ^ v and g ^ dv are each -pi sum_i a_i b_i, with
     # a_i, b_i >= 0.5, and they cancel only through the identity.
     per = ChartDomain.unit(d, periodic=range(d))
-    g, v = {}, {}
+    g, v, ab = {}, {}, 0.0
     for i in range(d):
         axis, phase = np.eye(d, dtype=int)[(i + 1) % d], rng.uniform(0.0, 2.0 * math.pi)
-        g[(i,)] = fields.sine_field([(rng.uniform(0.5, 1.0), axis, phase)])
-        v[((i + 2) % d,)] = fields.sine_field([(rng.uniform(0.5, 1.0), axis, phase + math.pi / 2)])
+        a_i, b_i = rng.uniform(0.5, 1.0), rng.uniform(0.5, 1.0)
+        g[(i,)] = fields.sine_field([(a_i, axis, phase)])
+        v[((i + 2) % d,)] = fields.sine_field([(b_i, axis, phase + math.pi / 2)])
+        ab += a_i * b_i
     g, v = forms.PForm(1, d, g), forms.PForm(1, d, v)
     rule = _rule(cfg)
     power = forms.pform_virtual_power(g, v, None, per, rule, scheme)
     run.add("closed_box_power", abs(power), 1e-6)
     dg_v = forms.wedge(forms.exterior_derivative(g, per, scheme), v).component(tuple(range(d)))
-    run.add("magnitude_dg_v", abs(chart.integrate_volume(dg_v, per, rule)), 0.1, comparator="ge")
+    integral = chart.integrate_volume(dg_v, per, rule)
+    run.add("magnitude_dg_v", abs(integral), 0.1, comparator="ge")
+    # the integral's exact value anchors the derivative's scale and sign,
+    # which the identity checks above cannot see
+    run.add("signed_dg_v", abs(integral + math.pi * ab), 1e-6)
 
 
 # id -> (runner, defaults of the config keys it reads, allowed d or None for any);

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chart import ChartDomain, FDScheme, ScalarField, gradient, sup_norm, uniform_grid
+from .chart import ChartDomain, FDScheme, ScalarField, jet, sup_norm, uniform_grid
 
 
 @dataclass(frozen=True)
@@ -95,21 +95,14 @@ class VelocityJet:
 def jet_prolong_config(kappa: Configuration, dom: ChartDomain,
                        scheme: FDScheme = FDScheme()) -> JetSection:
     """First jet of a configuration: x = kappa(X), xprime = base gradient of kappa."""
-
-    def ev(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return kappa.value(X), gradient(kappa.components, X, dom, scheme)
-
-    return JetSection(ev, kappa.fiber_dim, holonomic=True)
+    return JetSection(lambda X: jet(kappa.components, X, dom, scheme), kappa.fiber_dim,
+                      holonomic=True)
 
 
 def jet_prolong_velocity(v: VelocityField, dom: ChartDomain,
                          scheme: FDScheme = FDScheme()) -> VelocityJet:
     """Jet prolongation of a velocity field: xdot = v(X), xdotprime = base gradient of v."""
-
-    def ev(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return v.value(X), gradient(v.components, X, dom, scheme)
-
-    return VelocityJet(ev, v.fiber_dim)
+    return VelocityJet(lambda X: jet(v.components, X, dom, scheme), v.fiber_dim)
 
 
 def iso_K(X, x, xprime, xdot, xdotprime):
@@ -132,5 +125,5 @@ def holonomy_residual(xi: JetSection, dom: ChartDomain,
     """Sup over a probe grid of the mismatch between the stored gradient block
     and the finite-difference gradient of the value block."""
     comps = [ScalarField(lambda X, i=i: xi(X)[0][..., i]) for i in range(xi.fiber_dim)]
-    return sup_norm(lambda X: xi(X)[1] - gradient(comps, X, dom, scheme),
+    return sup_norm(lambda X: xi(X)[1] - jet(comps, X, dom, scheme)[1],
                     uniform_grid(dom, samples))

@@ -20,8 +20,8 @@ from .chart import (
     QuadratureRule,
     ScalarField,
     fd_divergence,
-    gradient,
     integrate_volume,
+    jet,
     # not called here; perfbench's tracer test checks that this binding is patched
     partial_derivative,  # noqa: F401
 )
@@ -96,8 +96,9 @@ def virtual_power_of_stress(s: VariationalStressDensity, vs: Sequence[VelocityFi
     """Virtual power expended by the stress on each velocity field of vs: the
     volume integral of the pairing with the jet prolongation of v, shape
     (len(vs),).  The pairing is linear in the velocity, so one evaluation of
-    the stress on the volume nodes serves every velocity: their jets are
-    stacked on a leading axis and contracted with it in one quadrature pass."""
+    the stress on the volume nodes serves every velocity: their jets, from
+    one `jet` of all their components, are stacked on a leading axis and
+    contracted with it in one quadrature pass."""
     if not vs:
         raise ValueError("no velocity fields")
     if any(v.fiber_dim != s.fiber_dim for v in vs):
@@ -106,10 +107,12 @@ def virtual_power_of_stress(s: VariationalStressDensity, vs: Sequence[VelocityFi
     comps = [f for v in vs for f in v.components]
 
     def jets(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # one gradient of all k*m components, (..., k*m, d) -> (k, ..., m, d)
-        grads = gradient(comps, X, dom, scheme)
+        # one jet of all k*m components, (..., k*m) -> (k, ..., m) and
+        # (..., k*m, d) -> (k, ..., m, d)
+        vals, grads = jet(comps, X, dom, scheme)
+        vals = vals.reshape(vals.shape[:-1] + (len(vs), s.fiber_dim))
         grads = grads.reshape(grads.shape[:-2] + (len(vs), s.fiber_dim, dom.dim))
-        return np.stack([v.value(X) for v in vs]), np.moveaxis(grads, -3, 0)
+        return np.moveaxis(vals, -2, 0), np.moveaxis(grads, -3, 0)
 
     eta = VelocityJet(jets, s.fiber_dim)
     return integrate_volume(lambda X: stress_pairing(s, eta, X), dom, rule)

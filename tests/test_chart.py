@@ -20,9 +20,9 @@ from jetstress.chart import (
     face_grid,
     face_nodes,
     fd_divergence,
-    gradient,
     integrate_boundary,
     integrate_volume,
+    jet,
     partial_derivative,
     stokes_residual,
     sup_norm,
@@ -118,12 +118,28 @@ class TestPartialDerivative:
         centre = _fd_weights(tuple(range(-r, r + 1)))[r]
         assert centre == 0.0 and math.copysign(1.0, centre) == 1.0
 
-    def test_a_periodic_derivative_never_evaluates_its_own_point(self):
-        # a centre value that is not finite no longer reaches the derivative
-        f = ScalarField(lambda X: np.where(X[..., 0] == 0.5, np.nan, X[..., 0]))
-        dom = ChartDomain.unit(1, periodic=[0])
+    @pytest.mark.parametrize("periodic", [[0], []])
+    def test_an_unshifted_derivative_never_evaluates_its_own_point(self, periodic):
+        # where no point of the set shifts its stencil, the zero-weight centre
+        # row is left out, so a centre value that is not finite does not reach
+        # the derivative, on a periodic and on a boundary axis alike
+        dom = ChartDomain.unit(1, periodic=periodic)
+        nan_at = [0.5]
+        f, rows = TestBatchedProtocol.counted(
+            lambda X: np.where(np.isin(X[..., 0], nan_at), np.nan, X[..., 0]))
         assert partial_derivative(f, 0, [0.5], dom) == pytest.approx(1.0, abs=1e-10)
-        assert math.isnan(partial_derivative(f, 0, [0.5], ChartDomain.unit(1)))
+        assert rows == [4]
+        # within stencil reach of a face every point of the set takes the
+        # shifted path's order + 1 rows, which probe the point itself
+        rows.clear()
+        got = partial_derivative(f, 0, [[0.5], [1e-3]], dom)
+        if periodic:
+            # no stencil shifts there: 1e-3 wraps across the seam instead
+            assert rows == [8] and got[0] == pytest.approx(1.0, abs=1e-10)
+        else:
+            assert rows == [10] and math.isnan(got[0]) and got[1] == pytest.approx(1.0)
+            nan_at[:] = [1e-3]
+            assert math.isnan(partial_derivative(f, 0, [1e-3], dom))
 
     def test_axis_out_of_range(self):
         with pytest.raises(ValueError):
@@ -143,7 +159,7 @@ class TestPartialDerivative:
         coeffs = np.random.default_rng(seed).uniform(-1, 1, (degree + 1,) * dim)
         f = fields.random_polynomial(np.random.default_rng(seed), dim, degree)
         np.testing.assert_allclose(f(X), polyval(*X.T, coeffs), rtol=0, atol=1e-13)
-        block = gradient([f], X, dom, scheme)[:, 0, :]
+        block = jet([f], X, dom, scheme)[1][:, 0, :]
         error = 0.0
         for a in range(dim):
             pd = partial_derivative(f, a, X, dom, scheme)
@@ -225,6 +241,16 @@ class TestIntegration:
                                 UNIT2, rule)
         assert np.array_equal(grid, stacked.reshape(2, 3))
 
+    def test_strided_rows_integrate_bitwise_like_contiguous_ones(self):
+        # values laid out point-major, as a pairing of jets stacked on a
+        # leading axis returns them; a strided dot product sums in another order
+        rng = np.random.default_rng(10)
+        fs = [fields.random_polynomial(rng, 2, 3) for _ in range(10)]
+        rule = QuadratureRule(8, panels=4)
+        rows = [integrate_volume(f, UNIT2, rule) for f in fs]
+        strided = integrate_volume(lambda X: np.stack([f(X) for f in fs], axis=-1).T, UNIT2, rule)
+        assert strided.tolist() == rows
+
     def test_constant_coefficient_broadcasts(self):
         assert integrate_volume(lambda X: 2.0, UNIT2) == pytest.approx(2.0, abs=1e-14)
         per_row = integrate_volume(lambda X: np.array([[1.0], [-3.0]]), UNIT2)
@@ -290,19 +316,21 @@ def test_uniform_grid_shapes():
     assert per.max() < 1.0  # duplicate endpoint dropped
 
 
-def test_gradient_block_matches_partial_derivatives():
+def test_jet_matches_values_and_partial_derivatives():
     fs = [ScalarField(lambda X: X[..., 0]), ScalarField(lambda X: X[..., 0] * X[..., 1] ** 2)]
     X = np.array([0.3, 0.6])
-    block = gradient(fs, X, UNIT2)
-    assert block.shape == (2, 2)
+    values, block = jet(fs, X, UNIT2)
+    assert values.shape == (2,) and block.shape == (2, 2)
     for i, f in enumerate(fs):
+        assert values[i] == f(X)
         for a in range(2):
             assert block[i, a] == partial_derivative(f, a, X, UNIT2)
 
 
-class TestGradient:
-    """`gradient` builds one stencil block per axis and hands it to every
-    field; each entry is bitwise the field's own partial_derivative."""
+class TestJet:
+    """`jet` calls each field once, on the points followed by every axis's
+    stencil rows; its values are bitwise the fields' and each gradient entry
+    is bitwise the field's own partial_derivative."""
 
     SCHEMES = [FDScheme(1e-3, 4), FDScheme(2e-2, 2)]
     DOMAINS = [ChartDomain.unit(2), ChartDomain.unit(2, periodic=[0]),
@@ -333,8 +361,9 @@ class TestGradient:
         r = scheme.order // 2
         assert set(_stencil_shifts(pts[:, 0], 0.0, 1.0, scheme.step, r)) == set(range(-r, r + 1))
         fs = self.fields_of(20)
-        got = gradient(fs, pts, dom, scheme)
-        assert got.shape == (len(pts), len(fs), 2)
+        values, got = jet(fs, pts, dom, scheme)
+        assert values.shape == (len(pts), len(fs)) and got.shape == (len(pts), len(fs), 2)
+        assert np.array_equal(values, np.stack([f(pts) for f in fs], axis=-1))
         assert np.array_equal(got, self.reference(fs, pts, dom, scheme))
         # and the parent's arithmetic, one field call per stencil offset
         for i, f in enumerate(fs):
@@ -345,27 +374,72 @@ class TestGradient:
     @pytest.mark.parametrize("dom", DOMAINS)
     def test_empty_multi_axis_and_single_point_sets(self, dom):
         fs = self.fields_of(21)
-        assert gradient(fs, np.empty((0, 2)), dom).shape == (0, 3, 2)
+        values, empty = jet(fs, np.empty((0, 2)), dom)
+        assert values.shape == (0, 3) and empty.shape == (0, 3, 2)
         pts = np.random.default_rng(22).uniform(0, 1, (2, 3, 2))
         pts[0, 0] = [0.0, 1.0]
-        got = gradient(fs, pts, dom)
-        assert got.shape == (2, 3, 3, 2)
+        values, got = jet(fs, pts, dom)
+        assert values.shape == (2, 3, 3) and got.shape == (2, 3, 3, 2)
+        assert np.array_equal(values, np.stack([f(pts) for f in fs], axis=-1))
         assert np.array_equal(got, self.reference(fs, pts, dom, FDScheme()))
-        assert np.array_equal(got.reshape(6, 3, 2), gradient(fs, pts.reshape(-1, 2), dom))
-        point = gradient(fs, [1e-3, 0.4], dom)
-        assert point.shape == (3, 2)
+        flat = jet(fs, pts.reshape(-1, 2), dom)
+        assert np.array_equal(values.reshape(6, 3), flat[0])
+        assert np.array_equal(got.reshape(6, 3, 2), flat[1])
+        values, point = jet(fs, [1e-3, 0.4], dom)
+        assert values.shape == (3,) and point.shape == (3, 2)
+        assert values.tolist() == [f([1e-3, 0.4]) for f in fs]
         assert np.array_equal(point, self.reference(fs, [1e-3, 0.4], dom, FDScheme()))
+
+    @pytest.mark.parametrize("dom", DOMAINS)
+    def test_values_are_bitwise_the_fields(self, dom):
+        # a one-point set and many fields, where a reduction over the field
+        # axis would sum pairwise
+        rng = np.random.default_rng(25)
+        fs = [fields.random_polynomial(rng, 2, 3) for _ in range(6)] + \
+            [fields.random_sine_field(rng, 2) for _ in range(3)] + \
+            [fields.poly_bump_field([(0.1, 0.9), (0.2, 0.8)], 1.3)]
+        for pts in (np.array([[0.3, 0.7]]), np.array([[1e-3, 1.0]]), self.all_shift_groups(),
+                    volume_nodes(dom, QuadratureRule(3, panels=2))[0]):
+            values, _ = jet(fs, pts, dom)
+            for i, f in enumerate(fs):
+                assert np.array_equal(values[:, i], f(pts))
+
+    def test_one_call_per_field_on_the_points_and_every_kept_stencil_row(self):
+        # k_a = order rows per point on an axis where no point shifts its
+        # stencil, order + 1 on one where some point does
+        dom = ChartDomain.unit(3, periodic=[1])
+        pts = volume_nodes(dom, QuadratureRule(2))[0].copy()
+        pts[0, 2] = 1e-3
+        rng = np.random.default_rng(26)
+        for scheme in (FDScheme(1e-3, 4), FDScheme(2e-2, 2)):
+            counted = [TestBatchedProtocol.counted(fields.random_polynomial(rng, 3, 2))
+                       for _ in range(3)]
+            jet([f for f, _ in counted], pts, dom, scheme)
+            k = scheme.order
+            for _, rows in counted:
+                assert rows == [len(pts) + k * len(pts) + k * len(pts) + (k + 1) * len(pts)]
+
+    @pytest.mark.parametrize("dom", DOMAINS)
+    def test_a_nan_at_a_point_reaches_the_values(self, dom):
+        pts = self.all_shift_groups()
+        bad = pts[3]
+        f = ScalarField(lambda X: np.where(np.all(X == bad, axis=-1), np.nan, X[..., 0]))
+        values, _ = jet([fields.constant_field(1.0), f], pts, dom)
+        assert np.isnan(values[3, 1]) and np.isfinite(np.delete(values, 3, axis=0)).all()
+        assert np.all(values[:, 0] == 1.0)
 
     @pytest.mark.parametrize("dom", DOMAINS)
     def test_rows_beyond_the_limit_go_in_chunks(self, dom, monkeypatch):
         monkeypatch.setattr(chart, "_FD_ROWS", 7)
         pts = self.all_shift_groups()
         counted = [TestBatchedProtocol.counted(f) for f in self.fields_of(23)]
-        got = gradient([f for f, _ in counted], pts, dom)
-        # order + 1 rows per point on a boundary axis, order on a periodic one
-        per_point = sum(4 if dom.is_periodic(a) else 5 for a in range(2))
+        values, got = jet([f for f, _ in counted], pts, dom)
+        # the point itself, then order + 1 rows per point on a boundary axis
+        # with points within reach of a face, order on a periodic one
+        per_point = 1 + sum(4 if dom.is_periodic(a) else 5 for a in range(2))
         for _, rows in counted:
             assert max(rows) == 7 and sum(rows) == per_point * len(pts)
+        assert np.array_equal(values, np.stack([f(pts) for f in self.fields_of(23)], axis=-1))
         assert np.array_equal(got, self.reference(self.fields_of(23), pts, dom, FDScheme()))
 
     @pytest.mark.parametrize("count", [1, 4])
@@ -384,11 +458,11 @@ class TestGradient:
         # a copy, not the shared lattice, so that no stencil is kept from an
         # earlier call and each one builds its own
         pts = uniform_grid(dom, 3).copy()
-        gradient([f for f, _ in counted], pts, dom)
+        jet([f for f, _ in counted], pts, dom)
         # the two boundary axes, whatever the number of fields
         assert shift_calls == [len(pts), len(pts)]
         for _, rows in counted:
-            assert rows == [5 * len(pts), 4 * len(pts), 5 * len(pts)]
+            assert rows == [(1 + 5 + 4 + 5) * len(pts)]
 
 
 class TestSharedNodeSets:
@@ -459,10 +533,13 @@ class TestSharedNodeSets:
         grid = uniform_grid(self.DOM, 5)
         first = partial_derivative(f, 0, grid, self.DOM)
         again = partial_derivative(f, 0, grid, self.DOM)
-        grads = gradient([f, f], grid, self.DOM)
-        # axis 0 once for all three calls, axis 1 once for the gradient
+        _, grads = jet([f, f], grid, self.DOM)
+        # axis 0 once for all three calls, axis 1 once for the jet, whose
+        # fields see one block of the points and both kept stencils
         assert built == [0, 1]
-        assert seen[0] is seen[1] is seen[2] is seen[3]
+        assert seen[0] is seen[1] and seen[2] is seen[3] is not seen[0]
+        stencil = seen[0].reshape(-1, 2)
+        assert np.array_equal(seen[2][len(grid):len(grid) + len(stencil)], stencil)
         assert np.array_equal(first, again) and np.array_equal(grads[:, 1, 0], first)
 
     def test_an_equal_fresh_array_gets_its_own_equal_stencil(self):
@@ -699,13 +776,15 @@ class TestBatchedProtocol:
         assert got.shape == (2, 3)
         assert np.array_equal(got.ravel(), partial_derivative(f, 0, pts.reshape(-1, 2), dom))
 
-    def test_gradient_block_shape(self):
+    def test_jet_block_shape(self):
         fs = [ScalarField(lambda X: X[..., 0]), fields.constant_field(1.0),
               ScalarField(lambda X: X[..., 0] * X[..., 1])]
         pts = uniform_grid(UNIT2, 4)
-        block = gradient(fs, pts, UNIT2)
-        assert block.shape == (16, 3, 2)
-        assert np.array_equal(block, np.array([gradient(fs, x, UNIT2) for x in pts]))
+        values, block = jet(fs, pts, UNIT2)
+        assert values.shape == (16, 3) and block.shape == (16, 3, 2)
+        rowwise = [jet(fs, x, UNIT2) for x in pts]
+        assert np.array_equal(values, np.array([v for v, _ in rowwise]))
+        assert np.array_equal(block, np.array([g for _, g in rowwise]))
 
     def test_polynomial_field_matches_one_point_horner(self):
         rng = np.random.default_rng(8)

@@ -424,6 +424,18 @@ class TestMain:
         err = capsys.readouterr().err
         assert f"{path}:4: d already set on line 2" in err
 
+    def test_duplicated_tolerance_flag_is_config_error(self, tmp_path, capsys):
+        argv = ["--scenario", "hyperelastic_1d_bar", "--tolerance", "interior=1e-3"]
+        assert main(argv + ["--tolerance", " interior=1e-9"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--tolerance interior given twice" in captured.err
+        # a flag still overrides the file's value of the same tolerance
+        path = tmp_path / "run.cfg"
+        path.write_text("tolerance.interior = 1e-9\n")
+        assert main(["--config", str(path)] + argv) == EXIT_PASS
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [c["tolerance"] for c in checks if c["name"] == "interior"] == [1e-3]
+
     def test_tolerance_matching_no_check_is_config_error(self, capsys):
         argv = ["--scenario", "hyperelastic_1d_bar"]
         assert main(argv + ["--tolerance", "interiour=1e-3"]) == EXIT_CONFIG

@@ -349,3 +349,19 @@ def test_hyperelastic_power_matches_energy_rate():
                                 for _ in range(2)), smoothness=99)
     v = VelocityField(tuple(fields.random_polynomial(rng, 2, 2) for _ in range(2)))
     assert energy_variation_residual(kappa, v, L, UNIT2, QuadratureRule(6)) <= 1e-6
+
+
+@pytest.mark.parametrize("m, d", [(1, 1), (2, 2), (3, 2)])
+def test_random_lagrangian_terms_are_the_ndindex_filter(m, d):
+    # the monomials of total degree 1..3 in np.ndindex order, so that each
+    # coefficient draw lands on the term it did when every one of the
+    # 4**(m + m*d) exponent tuples was walked
+    n = m + m * d
+    want = [p for p in np.ndindex(*(4,) * n) if 0 < sum(p) <= 3]
+    assert [p for p in scenarios._exponents(n, 3) if any(p)] == want
+    rng = np.random.default_rng(n)
+    terms = [(rng.uniform(-1.0, 1.0), np.array(p)) for p in want]
+    L = scenarios.random_lagrangian(np.random.default_rng(n), m, d)
+    jp = JetPoint(np.zeros((20, d)), *(rng.uniform(-2, 2, shape) for shape in ((20, m), (20, m, d))))
+    coords = np.concatenate([jp.x, jp.xprime.reshape(20, -1)], axis=-1)
+    assert np.array_equal(L(jp), sum(c * np.prod(coords ** p, axis=-1) for c, p in terms))
