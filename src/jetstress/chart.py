@@ -31,16 +31,16 @@ the weighted values).
 Node sets are shared: `volume_nodes`, `face_nodes`, `uniform_grid` and
 `face_grid` build each set once per argument tuple (for the last
 _NODE_SETS_KEPT of them) and hand every caller the same read-only arrays, so a
-field must not write into its points.  The stencil block and weight table of
-such a point set are kept too (`_stencils`), so every derivative at one node
-set along one axis reuses them; the blocks of nested derivatives, and point
-sets built elsewhere, get a fresh stencil on every call.
+field must not write into its points.  A node set's stencil blocks and weight
+tables belong to it (`_kept`) and are freed with its points, so one
+`_node_set.cache_clear()` frees every stencil that no caller can reach.  A
+block of more than _STENCIL_ROWS_KEPT rows, the blocks of nested derivatives
+and the stencils of other point sets are built anew on every call.
 """
 from __future__ import annotations
 
 import math
 import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
@@ -92,6 +92,8 @@ class ChartDomain:
         if not self.bounds:
             raise ValueError("domain needs at least one axis")
         for lo, hi in self.bounds:
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"axis interval [{lo}, {hi}] is not finite")
             if not lo < hi:
                 raise ValueError(f"empty axis interval [{lo}, {hi}]")
         for kind in self.axis_kind:
@@ -156,8 +158,8 @@ class FDScheme:
     def __post_init__(self) -> None:
         if self.order not in (2, 4):
             raise ValueError("FD order must be 2 or 4")
-        if self.step <= 0:
-            raise ValueError("FD step must be positive")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ValueError(f"FD step must be finite and positive, got {self.step}")
 
 
 @lru_cache(maxsize=None)
@@ -279,34 +281,29 @@ def _new_stencil(P: np.ndarray, axis: int, dom: ChartDomain,
     return flat, table
 
 
-# the point arrays of the node sets built so far and still alive, by id
-_node_points: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-# (id(P), axis, dom, scheme) -> (P, block, table) for node sets P, least
-# recently used first; an entry holds P, so no other array takes its id while
-# the entry lives.  At most _STENCILS_KEPT entries and _STENCIL_ROWS_KEPT
-# block rows are kept: every default scenario needs fewer entries and rows,
-# and a block of more rows is rebuilt on every call.
-_stencils: OrderedDict = OrderedDict()
-_STENCILS_KEPT = 64
+# id(P) -> {(axis, dom, scheme): (block, table)} for the point array P of
+# every node set still alive.  `_node_set` adds P's entry, and a finalizer
+# removes it when P is freed, so no other array takes the id while the entry
+# lives.  A block of more than _STENCIL_ROWS_KEPT rows is built on every call
+# instead: kept, the blocks of a large lattice would hold their memory for as
+# long as the node set lives (the peak RSS of `maxwell_vacuum` at samples 17
+# rose from 60 to 88 MiB without this cap).
+_kept: dict[int, dict] = {}
 _STENCIL_ROWS_KEPT = 2**18
 
 
 def _stencil(P: np.ndarray, axis: int, dom: ChartDomain,
              scheme: FDScheme) -> tuple[np.ndarray, np.ndarray]:
-    """`_new_stencil` of P, built once per (node set, axis, domain, scheme)
-    while it is among the kept stencils; for any other P built anew."""
-    key = (id(P), axis, dom, scheme)
-    held = _stencils.get(key)
-    if held is not None:
-        _stencils.move_to_end(key)
-        return held[1], held[2]
-    block, table = _new_stencil(P, axis, dom, scheme)
-    if id(P) in _node_points and len(block) <= _STENCIL_ROWS_KEPT:
-        _stencils[key] = (P, block, table)
-        while len(_stencils) > _STENCILS_KEPT \
-                or sum(len(b) for _, b, _ in _stencils.values()) > _STENCIL_ROWS_KEPT:
-            _stencils.popitem(last=False)
-    return block, table
+    """`_new_stencil` of P, built once per (axis, domain, scheme) while P is
+    the points of a live node set; for any other P built anew."""
+    kept = _kept.get(id(P), {})
+    key = (axis, dom, scheme)
+    if key not in kept:
+        stencil = _new_stencil(P, axis, dom, scheme)
+        if len(stencil[0]) > _STENCIL_ROWS_KEPT:
+            return stencil
+        kept[key] = stencil
+    return kept[key]
 
 
 def _evaluate(f: Evaluator, block: np.ndarray, out: np.ndarray) -> None:
@@ -442,13 +439,16 @@ def _node_set(build: Callable, *args):
     """build(*args), an array or a tuple of arrays whose first is the points,
     made read-only and kept for the last _NODE_SETS_KEPT argument tuples, so
     that every caller of one node set shares its arrays and its stencils.
+    Its points get an empty entry of kept stencils, which lives as long as
+    they do.
     The public builders call this one and stay plain functions, the only
     kind perfbench's tracer wraps."""
     out = build(*args)
     arrays = out if isinstance(out, tuple) else (out,)
     for a in arrays:
         a.flags.writeable = False
-    _node_points[id(arrays[0])] = arrays[0]
+    _kept[id(arrays[0])] = {}
+    weakref.finalize(arrays[0], _kept.pop, id(arrays[0]))
     return out
 
 

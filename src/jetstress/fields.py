@@ -42,9 +42,8 @@ def polynomial_field(coeffs) -> ScalarField:
     return ScalarField(ev)
 
 
-def random_polynomial(rng: np.random.Generator, dim: int, degree: int = 3,
-                      scale: float = 1.0) -> ScalarField:
-    coeffs = rng.uniform(-scale, scale, size=(degree + 1,) * dim)
+def random_polynomial(rng: np.random.Generator, dim: int, degree: int = 3) -> ScalarField:
+    coeffs = rng.uniform(-1.0, 1.0, size=(degree + 1,) * dim)
     return polynomial_field(coeffs)
 
 
@@ -74,16 +73,15 @@ def random_sine_field(rng: np.random.Generator, dim: int, n_modes: int = 2,
     return sine_field(modes)
 
 
-def poly_bump_field(support: Sequence[Sequence[float]], amplitude: float = 1.0,
-                    power: int = 6) -> ScalarField:
-    """Piecewise-polynomial compact bump ((t-a)(b-t))^power per axis, scaled
-    to `amplitude` at the center; C^(power-1) across the support edges.
+def poly_bump_field(support: Sequence[Sequence[float]], amplitude: float = 1.0) -> ScalarField:
+    """Piecewise-polynomial compact bump ((t-a)(b-t))^6 per axis, scaled to
+    `amplitude` at the center; C^5 across the support edges.
 
     It stays exactly Gauss-integrable: with quadrature panels aligned to the
     support edges the integrand is a polynomial on every panel.  Only the
     rows inside the open support (and NaN rows, which stay NaN) are raised
-    to `power`; every other row is 0.0.  A single point takes the same array
-    path as a point set, so its value is bitwise the same as in a batch.
+    to the power 6; every other row is 0.0.  A single point takes the same
+    array path as a point set, so its value is bitwise the same as in a batch.
     """
     support = [(float(a), float(b)) for a, b in support]
     amplitude = float(amplitude)
@@ -99,7 +97,7 @@ def poly_bump_field(support: Sequence[Sequence[float]], amplitude: float = 1.0,
         for k, (a, b) in enumerate(support):
             t = Y[:, k]
             half = 0.5 * (b - a)
-            v = v * ((t - a) * (b - t) / (half * half)) ** power
+            v = v * ((t - a) * (b - t) / (half * half)) ** 6
         out = np.zeros(X.shape[:-1])
         out[inside] = v
         return out

@@ -114,16 +114,18 @@ def pullback_constitutive(psi: ConstitutiveDensity, kappa: Configuration,
     )
 
 
-def constitutive_from_lagrangian(L: LagrangianDensity, fiber_dim: int, base_dim: int,
-                                 step: float = VERTICAL_STEP) -> ConstitutiveDensity:
+def constitutive_from_lagrangian(L: LagrangianDensity, fiber_dim: int,
+                                 base_dim: int) -> ConstitutiveDensity:
     """Vertical gradient of the Lagrangian: psi_i = dL/dx^i and
     psi_i^a = dL/dx'^i_a, by central differences at fixed other jet coordinates."""
 
     def d_value(i: int) -> JetEval:
-        return lambda jp: _central(lambda x: L(JetPoint(jp.X, x, jp.xprime)), jp.x, (i,), step)
+        return lambda jp: _central(lambda x: L(JetPoint(jp.X, x, jp.xprime)), jp.x, (i,),
+                                   VERTICAL_STEP)
 
     def d_grad(i: int, a: int) -> JetEval:
-        return lambda jp: _central(lambda g: L(JetPoint(jp.X, jp.x, g)), jp.xprime, (i, a), step)
+        return lambda jp: _central(lambda g: L(JetPoint(jp.X, jp.x, g)), jp.xprime, (i, a),
+                                   VERTICAL_STEP)
 
     return ConstitutiveDensity(
         tuple(d_value(i) for i in range(fiber_dim)),
@@ -131,12 +133,12 @@ def constitutive_from_lagrangian(L: LagrangianDensity, fiber_dim: int, base_dim:
     )
 
 
-def loading_from_potential(w: PotentialDensities, fiber_dim: int,
-                           step: float = VERTICAL_STEP) -> tuple[BodyLoading, SurfaceLoading]:
+def loading_from_potential(w: PotentialDensities,
+                           fiber_dim: int) -> tuple[BodyLoading, SurfaceLoading]:
     """Loading densities as negative vertical derivatives of the potentials."""
 
     def neg_grad(g: FiberEval, i: int) -> FiberEval:
-        return lambda X, x: -_central(lambda y: g(X, y), x, (i,), step)
+        return lambda X, x: -_central(lambda y: g(X, y), x, (i,), VERTICAL_STEP)
 
     def components(g: FiberEval) -> tuple[FiberEval, ...]:
         return tuple(neg_grad(g, i) for i in range(fiber_dim))
@@ -172,8 +174,7 @@ def total_energy(kappa: Configuration, L: LagrangianDensity | None,
 def energy_variation_residual(kappa: Configuration, v: VelocityField,
                               L: LagrangianDensity, dom: ChartDomain,
                               rule: QuadratureRule = QuadratureRule(),
-                              scheme: FDScheme = FDScheme(),
-                              t_step: float = VERTICAL_STEP) -> float:
+                              scheme: FDScheme = FDScheme()) -> float:
     """|directional derivative of the stored energy along v  minus  the virtual
     power of the hyperelastic stress on v|, the two sides independent."""
 
@@ -182,7 +183,7 @@ def energy_variation_residual(kappa: Configuration, v: VelocityField,
                       for k, vk in zip(kappa.components, v.components))
         return total_energy(Configuration(comps, kappa.smoothness), L, None, dom, rule, scheme)
 
-    lhs = (energy_at(t_step) - energy_at(-t_step)) / (2 * t_step)
+    lhs = (energy_at(VERTICAL_STEP) - energy_at(-VERTICAL_STEP)) / (2 * VERTICAL_STEP)
 
     psi = constitutive_from_lagrangian(L, kappa.fiber_dim, dom.dim)
     s = pullback_constitutive(psi, kappa, dom, scheme)

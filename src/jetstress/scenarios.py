@@ -129,23 +129,21 @@ def _scheme(cfg: ScenarioConfig) -> FDScheme:
     return FDScheme(cfg.fd_step, cfg.fd_order)
 
 
-def random_velocity(rng: np.random.Generator, d: int, m: int, degree: int = 3) -> VelocityField:
-    return VelocityField(tuple(fields.random_polynomial(rng, d, degree) for _ in range(m)))
+def random_velocity(rng: np.random.Generator, d: int, m: int) -> VelocityField:
+    return VelocityField(tuple(fields.random_polynomial(rng, d) for _ in range(m)))
 
 
-def random_stress(rng: np.random.Generator, d: int, m: int, degree: int = 3,
+def random_stress(rng: np.random.Generator, d: int, m: int,
                   with_lower: bool = True) -> stress.VariationalStressDensity:
-    lower = tuple(fields.random_polynomial(rng, d, degree) if with_lower
+    lower = tuple(fields.random_polynomial(rng, d) if with_lower
                   else fields.constant_field(0.0) for _ in range(m))
-    mixed = tuple(tuple(fields.random_polynomial(rng, d, degree) for _ in range(d))
-                  for _ in range(m))
+    mixed = tuple(tuple(fields.random_polynomial(rng, d) for _ in range(d)) for _ in range(m))
     return stress.VariationalStressDensity(lower, mixed)
 
 
-def random_traction(rng: np.random.Generator, d: int, m: int, degree: int = 3) -> stress.TractionStressDensity:
+def random_traction(rng: np.random.Generator, d: int, m: int) -> stress.TractionStressDensity:
     return stress.TractionStressDensity(
-        tuple(tuple(fields.random_polynomial(rng, d, degree) for _ in range(d))
-              for _ in range(m)))
+        tuple(tuple(fields.random_polynomial(rng, d) for _ in range(d)) for _ in range(m)))
 
 
 def _scenario_stokes(cfg: ScenarioConfig, run: _Runner) -> None:
@@ -274,11 +272,10 @@ def _exponents(n: int, degree: int) -> list[tuple[int, ...]]:
     return [(p,) + rest for p in range(degree + 1) for rest in _exponents(n - 1, degree - p)]
 
 
-def random_lagrangian(rng: np.random.Generator, m: int, d: int,
-                      degree: int = 3) -> material.LagrangianDensity:
-    """Polynomial Lagrangian of bounded total degree in the vertical coordinates."""
+def random_lagrangian(rng: np.random.Generator, m: int, d: int) -> material.LagrangianDensity:
+    """Polynomial Lagrangian of total degree at most 3 in the vertical coordinates."""
     terms = [(rng.uniform(-1.0, 1.0), np.array(powers))
-             for powers in _exponents(m + m * d, degree) if any(powers)]
+             for powers in _exponents(m + m * d, 3) if any(powers)]
 
     def ev(jp: JetPoint) -> np.ndarray:
         coords = np.concatenate([jp.x, jp.xprime.reshape(*jp.xprime.shape[:-2], -1)], axis=-1)

@@ -68,16 +68,10 @@ class JetSection:
 
     evaluator: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     fiber_dim: int
-    holonomic: bool = False
 
     def __call__(self, X) -> tuple[np.ndarray, np.ndarray]:
         x, xp = self.evaluator(np.asarray(X, dtype=float))
         return np.asarray(x, dtype=float), np.asarray(xp, dtype=float)
-
-    def at(self, X) -> JetPoint:
-        X = np.asarray(X, dtype=float)
-        x, xp = self(X)
-        return JetPoint(X, x, xp)
 
 
 @dataclass(frozen=True)
@@ -95,8 +89,7 @@ class VelocityJet:
 def jet_prolong_config(kappa: Configuration, dom: ChartDomain,
                        scheme: FDScheme = FDScheme()) -> JetSection:
     """First jet of a configuration: x = kappa(X), xprime = base gradient of kappa."""
-    return JetSection(lambda X: jet(kappa.components, X, dom, scheme), kappa.fiber_dim,
-                      holonomic=True)
+    return JetSection(lambda X: jet(kappa.components, X, dom, scheme), kappa.fiber_dim)
 
 
 def jet_prolong_velocity(v: VelocityField, dom: ChartDomain,

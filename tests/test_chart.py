@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +38,11 @@ class TestDomain:
     def test_rejects_empty_interval(self):
         with pytest.raises(ValueError):
             ChartDomain.box([(1.0, 1.0)])
+
+    @pytest.mark.parametrize("bounds", [(0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)])
+    def test_rejects_a_non_finite_interval(self, bounds):
+        with pytest.raises(ValueError, match="not finite"):
+            ChartDomain.box([(0.0, 1.0), bounds])
 
     @pytest.mark.parametrize("periodic", [[5], [-1], [2], [0, 2]])
     def test_rejects_periodic_axis_outside_the_box(self, periodic):
@@ -182,6 +188,11 @@ class TestPartialDerivative:
     def test_one_degree_more_exceeds_the_roundoff_bound(self, order):
         error, roundoff = self.error_and_roundoff(2, FDScheme(1e-2, order), order + 1, 0)
         assert error > 100 * roundoff
+
+    @pytest.mark.parametrize("step", [math.nan, math.inf, 0.0, -1e-3])
+    def test_step_must_be_finite_and_positive(self, step):
+        with pytest.raises(ValueError, match="finite and positive"):
+            FDScheme(step)
 
     def test_step_too_large(self):
         with pytest.raises(ValueError):
@@ -475,10 +486,8 @@ class TestSharedNodeSets:
 
     @pytest.fixture(autouse=True)
     def fresh_caches(self):
-        chart._stencils.clear()
         chart._node_set.cache_clear()
         yield
-        chart._stencils.clear()
         chart._node_set.cache_clear()
 
     def builders(self):
@@ -524,11 +533,17 @@ class TestSharedNodeSets:
 
         return ScalarField(ev), seen
 
-    def test_a_second_derivative_at_a_node_set_reuses_its_stencil(self, monkeypatch):
+    @staticmethod
+    def builds_counted(monkeypatch):
+        """The axis of every stencil built from here on, in order."""
         built = []
         new_stencil = chart._new_stencil
         monkeypatch.setattr(chart, "_new_stencil",
                             lambda *args: built.append(args[1]) or new_stencil(*args))
+        return built
+
+    def test_a_second_derivative_at_a_node_set_reuses_its_stencil(self, monkeypatch):
+        built = self.builds_counted(monkeypatch)
         f, seen = self.blocks_seen(fields.random_polynomial(np.random.default_rng(30), 2, 3))
         grid = uniform_grid(self.DOM, 5)
         first = partial_derivative(f, 0, grid, self.DOM)
@@ -554,32 +569,57 @@ class TestSharedNodeSets:
             kept, block, rebuilt = seen[-3:]
             assert block is not kept and rebuilt is not block
             assert np.array_equal(block, kept) and np.array_equal(rebuilt, block)
-        assert {key[0] for key in chart._stencils} == {id(grid)}
+        assert list(chart._kept[id(grid)]) == [(0, self.DOM, FDScheme()),
+                                               (1, self.DOM, FDScheme())]
+        assert id(fresh) not in chart._kept
 
     def test_nested_blocks_are_not_kept(self):
         f = fields.random_polynomial(np.random.default_rng(32), 2, 3)
         df = ScalarField(lambda X: partial_derivative(f, 1, X, self.DOM))
         grid = uniform_grid(self.DOM, 5)
+        before = set(chart._kept)
         partial_derivative(df, 0, grid, self.DOM)
-        assert list(chart._stencils) == [(id(grid), 0, self.DOM, FDScheme())]
+        assert set(chart._kept) == before
+        assert list(chart._kept[id(grid)]) == [(0, self.DOM, FDScheme())]
 
-    def test_the_memo_never_exceeds_its_bound(self, monkeypatch):
-        monkeypatch.setattr(chart, "_STENCILS_KEPT", 5)
-        monkeypatch.setattr(chart, "_STENCIL_ROWS_KEPT", 5 * 60)
+    def test_stencils_are_freed_with_their_node_set(self):
         f = fields.random_polynomial(np.random.default_rng(33), 2, 3)
-        for samples in range(2, 40):
-            grid = uniform_grid(self.DOM, samples)
+        grid = uniform_grid(self.DOM, 5)
+        key, alive = id(grid), weakref.ref(grid)
+        partial_derivative(f, 0, grid, self.DOM)
+        chart._node_set.cache_clear()
+        # a caller still holds the points, so their stencils stay
+        assert list(chart._kept[key]) == [(0, self.DOM, FDScheme())]
+        del grid
+        assert alive() is None and key not in chart._kept
+        assert chart._node_set.cache_info().maxsize == chart._NODE_SETS_KEPT
+
+    def test_a_block_over_the_row_cap_is_never_kept(self, monkeypatch):
+        built = self.builds_counted(monkeypatch)
+        # 25 points: order * 25 = 100 rows on the periodic axis 1, and
+        # (order + 1) * 25 = 125 on the boundary axis 0
+        monkeypatch.setattr(chart, "_STENCIL_ROWS_KEPT", 100)
+        f = fields.random_polynomial(np.random.default_rng(34), 2, 3)
+        grid = uniform_grid(self.DOM, 5)
+        for _ in range(2):
             for axis in range(2):
                 partial_derivative(f, axis, grid, self.DOM)
-                held = chart._stencils.items()
-                assert len(held) <= 5
-                assert sum(len(block) for _, (_, block, _) in held) <= 5 * 60
-                # each entry holds the array whose id keys it
-                assert all(key[0] == id(P) for key, (P, _, _) in held)
-        # a block larger than the row bound is built but not kept
-        assert not any(key[0] == id(grid) for key in chart._stencils)
-        assert chart._node_set.cache_info().currsize <= chart._NODE_SETS_KEPT
-        assert chart._node_set.cache_info().maxsize == chart._NODE_SETS_KEPT
+        assert built == [0, 1, 0]
+        assert list(chart._kept[id(grid)]) == [(1, self.DOM, FDScheme())]
+
+    def test_a_held_node_set_keeps_its_stencils_after_the_cache_drops_it(self, monkeypatch):
+        built = self.builds_counted(monkeypatch)
+        f = fields.random_polynomial(np.random.default_rng(35), 2, 3)
+        grid = uniform_grid(self.DOM, 5)
+        first = partial_derivative(f, 0, grid, self.DOM)
+        chart._node_set.cache_clear()
+        again = partial_derivative(f, 0, grid, self.DOM)
+        assert built == [0] and np.array_equal(first, again)
+        # the cache builds the node set anew, and with it its stencils
+        rebuilt = uniform_grid(self.DOM, 5)
+        assert rebuilt is not grid
+        partial_derivative(f, 0, rebuilt, self.DOM)
+        assert built == [0, 0]
 
 
 class TestSupNorm:

@@ -9,11 +9,18 @@ an import) outside its own definition.  Re-exporting a name from
 A parameter counts as read when the body of its function loads it.  `self`
 and `cls` are exempt, and lambdas are left out: a constant loading must still
 accept `(X, x)` to fit the field protocol.
+
+A parameter with a default counts as overridden when some call in `src/` or
+`tests/` of a function or method of that name passes it: by position
+(counting from after `self` or `cls`), by keyword, or through `*` or `**`.
+A default that no call overrides is a constant spelled as an option.
 """
 from __future__ import annotations
 
 import ast
+import math
 from pathlib import Path
+from typing import Iterator
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "jetstress"
@@ -52,18 +59,55 @@ def unused_public_names() -> list[str]:
                               for _, other, names in statements if other is not node))
 
 
-def unread_parameters() -> list[str]:
-    found = []
+def _library_functions() -> Iterator[tuple[str, ast.FunctionDef | ast.AsyncFunctionDef]]:
+    """(module name, definition) of every function and method of the library."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            a = node.args
-            params = {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
-                      if p is not None} - {"self", "cls"}
-            read = {n.id for stmt in node.body for n in ast.walk(stmt)
-                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-            found += [f"{path.stem}.{node.name}({p})" for p in sorted(params - read)]
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield path.stem, node
+
+
+def unread_parameters() -> list[str]:
+    found = []
+    for module, node in _library_functions():
+        a = node.args
+        params = {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                  if p is not None} - {"self", "cls"}
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [f"{module}.{node.name}({p})" for p in sorted(params - read)]
+    return sorted(found)
+
+
+def _passed(call: ast.Call) -> tuple[float, set[str]]:
+    """How many leading positions and which keywords a call passes; a `*`
+    argument passes every position and a `**` one every keyword ("*")."""
+    positions = math.inf if any(isinstance(a, ast.Starred) for a in call.args) else len(call.args)
+    names = {k.arg for k in call.keywords}
+    return positions, {"*"} if None in names else names
+
+
+def defaults_never_overridden() -> list[str]:
+    """Parameters with a default that no call of a function or method of
+    that name passes."""
+    calls: dict[str, list[tuple[float, set[str]]]] = {}
+    for path in _sources():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(_passed(node))
+    found = []
+    for module, node in _library_functions():
+        a = node.args
+        positional = [p.arg for p in (*a.posonlyargs, *a.args)]
+        if positional[:1] in (["self"], ["cls"]):
+            positional = positional[1:]
+        first = len(positional) - len(a.defaults)
+        defaulted = [(p, i) for i, p in enumerate(positional) if i >= first]
+        defaulted += [(p.arg, math.inf) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        found += [f"{module}.{node.name}({p})" for p, i in defaulted
+                  if not any(i < n or p in names or "*" in names
+                             for n, names in calls.get(node.name, []))]
     return sorted(found)
 
 
@@ -73,3 +117,7 @@ def test_every_public_definition_is_used():
 
 def test_every_parameter_is_read():
     assert unread_parameters() == []
+
+
+def test_every_default_is_overridden():
+    assert defaults_never_overridden() == []

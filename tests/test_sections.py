@@ -8,6 +8,7 @@ from jetstress.chart import ChartDomain, FDScheme, ScalarField, uniform_grid
 from jetstress.sections import (
     Configuration,
     FiberSpec,
+    JetPoint,
     JetSection,
     VelocityField,
     holonomy_residual,
@@ -30,21 +31,20 @@ class TestProlongation:
     def test_quadratic_scalar(self):
         kappa = Configuration((ScalarField(lambda X: X[..., 0] ** 2),))
         jet = jet_prolong_config(kappa, UNIT1)
-        jp = jet.at([0.5])
+        jp = JetPoint([0.5], *jet([0.5]))
         assert jp.x[0] == pytest.approx(0.25, abs=1e-12)
         assert jp.xprime[0, 0] == pytest.approx(1.0, abs=1e-8)
-        assert jet.holonomic
 
     def test_constant_configuration(self):
         kappa = Configuration((fields.constant_field(3.0),) * 2)
-        jp = jet_prolong_config(kappa, UNIT2).at([0.3, 0.9])
+        jp = JetPoint([0.3, 0.9], *jet_prolong_config(kappa, UNIT2)([0.3, 0.9]))
         assert np.allclose(jp.x, [3.0, 3.0])
         assert np.max(np.abs(jp.xprime)) <= 1e-10
 
     def test_periodic_component(self):
         dom = ChartDomain.unit(1, periodic=[0])
         kappa = Configuration((ScalarField(lambda X: np.sin(2 * math.pi * X[..., 0])),))
-        jp = jet_prolong_config(kappa, dom).at([0.0])
+        jp = JetPoint([0.0], *jet_prolong_config(kappa, dom)([0.0]))
         assert jp.xprime[0, 0] == pytest.approx(2 * math.pi, rel=1e-7)
 
     def test_velocity_polynomial_gradient(self):
@@ -121,6 +121,21 @@ class TestHolonomy:
         kappa = Configuration((fields.random_polynomial(rng, 2, 3),), smoothness=99)
         jet = jet_prolong_config(kappa, UNIT2)
         assert holonomy_residual(jet, UNIT2, samples=9) <= 1e-6
+
+    def test_an_order_2_jet_against_its_own_scheme_and_the_default(self):
+        # checked with its own scheme, the jet's gradient block is the same
+        # stencil sums of the same values, so nothing is left; checked with
+        # the default order-4 scheme, what is left is the order-2 truncation
+        # error, which falls as h**2
+        rng = np.random.default_rng(5)
+        kappa = Configuration((fields.random_polynomial(rng, 2, 3),), smoothness=99)
+        against_default = []
+        for scheme in (FDScheme(1e-2, 2), FDScheme(1e-3, 2)):
+            xi = jet_prolong_config(kappa, UNIT2, scheme)
+            assert holonomy_residual(xi, UNIT2, scheme, samples=9) == 0.0
+            against_default.append(holonomy_residual(xi, UNIT2, samples=9))
+        coarse, fine = against_default
+        assert 1e-7 < fine and 50 < coarse / fine < 200
 
     def test_constant_gradient_offset(self):
         # x = 0 with claimed gradient 1: residual is exactly the offset
