@@ -2,7 +2,7 @@
 
 Config files are flat `key = value` text with `#` comments; CLI flags
 override file values.  Exit codes: 0 all checks pass, 1 a check failed,
-2 config error, 3 internal error.
+2 config error or unwritable --out, 3 internal error.
 
 JSON reports use a stable schema (keys: scenario, config, checks[], pass);
 floats are written as their shortest round-trip repr, so parsing reproduces
@@ -58,7 +58,7 @@ def load_config_file(path: str) -> dict[str, Any]:
                     raise ConfigError(f"{path}:{lineno}: {key} already set on line {first[key]}")
                 first[key] = lineno
                 values[key] = _parse_value(key, raw)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
 
@@ -157,18 +157,20 @@ def main(argv: list[str] | None = None) -> int:
         cfg = build_config(values)
         report = run_scenario(cfg)
         payload = emit_report(report, args.format)
+        if args.out:
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(payload)
+            except OSError as exc:
+                raise ConfigError(f"cannot write report to {args.out}: {exc}") from exc
+        else:
+            sys.stdout.write(payload)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - runner boundary
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 

@@ -4,16 +4,15 @@ Each scenario draws its field data from a fixed family (multivariate
 polynomials with seeded coefficients in [-1, 1], sine modes on periodic
 axes, compact bumps) so that identical (config, seed) pairs give identical
 residuals.  A scenario's defaults and allowed dimensions live in its
-`REGISTRY` row; `run_scenario` fills every key the config leaves unset from
-that row and rejects a key the row does not name, and a scenario that runs
-other quadrature settings than it was given records them, so the echoed
-config is the one that ran.
+`REGISTRY` row, which names every optional key the scenario reads;
+`run_scenario` fills every key the config leaves unset from that row and
+rejects a key the row does not name, so the echoed config is the one that ran.
 """
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields as dc_fields, replace
 from typing import Callable
 
 import numpy as np
@@ -55,8 +54,8 @@ class ScenarioConfig:
     seed: int = 0
     d: int | None = None
     m: int | None = None
-    q: int = 8
-    panels: int = 1
+    q: int | None = None
+    panels: int | None = None
     fd_order: int = 4
     fd_step: float = 1e-3
     samples: int | None = None
@@ -67,8 +66,6 @@ class ScenarioConfig:
         for name, tol in self.tolerances.items():
             if not (math.isfinite(tol) and tol > 0):
                 raise ConfigError(f"tolerance {name} must be finite and positive, got {tol}")
-        if self.q < 1 or self.panels < 1:
-            raise ConfigError("quadrature order and panels must be positive")
         if self.fd_order not in (2, 4):
             raise ConfigError("fd_order must be 2 or 4")
         # every scenario runs on the unit box, so the stencil must fit in it
@@ -83,34 +80,24 @@ class ScenarioConfig:
         if 1.0 + self.fd_step == 1.0:
             raise ConfigError(f"fd_step {self.fd_step} is too small to move the "
                               f"coordinate 1.0 of the unit box")
-        for name, low in (("seed", 0), ("d", 1), ("m", 1), ("count", 1), ("samples", 2)):
+        for name, low in (("seed", 0), ("d", 1), ("m", 1), ("q", 1), ("panels", 1),
+                          ("count", 1), ("samples", 2)):
             value = getattr(self, name)
             if value is not None and value < low:
                 raise ConfigError(f"{name} must be at least {low}, got {value}")
 
 
 class _Runner:
-    """Accumulates checks, resolves tolerance overrides and holds the
-    effective config."""
+    """Accumulates checks and resolves tolerance overrides."""
 
-    def __init__(self, cfg: ScenarioConfig):
-        self.cfg = cfg
+    def __init__(self, tolerances: dict[str, float]):
+        self.tolerances = tolerances
         self.checks: list[Check] = []
         self._t0 = time.perf_counter()
 
-    def tol(self, name: str, default: float) -> float:
-        if name in self.cfg.tolerances:
-            return self.cfg.tolerances[name]
-        return self.cfg.tolerances.get("default", default)
-
-    def ran(self, **changes) -> ScenarioConfig:
-        """Record config values the scenario adjusted; return the effective config."""
-        self.cfg = replace(self.cfg, **changes)
-        return self.cfg
-
     def add(self, name: str, value: float, default_tol: float, comparator: str = "le") -> None:
         t1 = time.perf_counter()
-        tol = self.tol(name, default_tol)
+        tol = self.tolerances.get(name, self.tolerances.get("default", default_tol))
         # a non-finite value fails whatever the comparator
         ok = math.isfinite(value) and (value <= tol if comparator == "le" else value >= tol)
         self.checks.append(Check(name, float(value), float(tol), comparator, bool(ok), t1 - self._t0))
@@ -212,9 +199,11 @@ def _scenario_weak_strong(cfg: ScenarioConfig, run: _Runner) -> None:
 
 
 def _scenario_null_stress(cfg: ScenarioConfig, run: _Runner) -> None:
-    # polynomial bumps with support edges on panel boundaries keep the
-    # quadrature exact up to FD noise; panels must stay a multiple of 4
-    cfg = run.ran(q=max(cfg.q, 8), panels=4 * -(-cfg.panels // 4))
+    # the bumps are of degree 12 per axis on [0.25, 0.75]; with their support
+    # edges on panel edges, q >= 8 integrates them exactly up to FD noise
+    if cfg.q < 8 or cfg.panels % 4:
+        raise ConfigError(f"null_stress needs q >= 8 and panels a multiple of 4 to integrate "
+                          f"its bumps exactly, got q {cfg.q}, panels {cfg.panels}")
     d, m = cfg.d, cfg.m
     dom = ChartDomain.unit(d)
     rng = _rng(cfg)
@@ -353,7 +342,10 @@ def _scenario_maxwell(cfg: ScenarioConfig, run: _Runner) -> None:
 
 
 def _scenario_pform_leibniz(cfg: ScenarioConfig, run: _Runner) -> None:
-    cfg = run.ran(panels=max(cfg.panels, 2))
+    # the closed-box power integrates a whole sine period per axis; on one
+    # panel of 8 nodes that is off by 4e-6, beyond the checks' 1e-6
+    if cfg.panels < 2:
+        raise ConfigError(f"pform_leibniz needs panels >= 2, got {cfg.panels}")
     d = cfg.d
     dom = ChartDomain.unit(d)
     rng = _rng(cfg)
@@ -399,22 +391,28 @@ def _scenario_pform_leibniz(cfg: ScenarioConfig, run: _Runner) -> None:
     run.add("signed_dg_v", abs(integral + math.pi * ab), 1e-6)
 
 
-# id -> (runner, defaults of the config keys it reads, allowed d or None for any);
-# each of _ROW_KEYS a scenario reads has a default in its row
-_ROW_KEYS = ("d", "m", "count", "samples")
+# id -> (runner, defaults of the optional config keys it reads, allowed d or
+# None for any); the optional keys are those defaulting to None, and a row
+# names exactly the ones its runner reads
+_ROW_KEYS = tuple(f.name for f in dc_fields(ScenarioConfig) if f.default is None)
 REGISTRY: dict[str, tuple[Callable[[ScenarioConfig, _Runner], None], dict, set | None]] = {
-    "stokes": (_scenario_stokes, {"d": 2, "count": 20}, {1, 2, 3}),
+    "stokes": (_scenario_stokes, {"d": 2, "q": 8, "panels": 1, "count": 20}, {1, 2, 3}),
     "exterior_jet_identity": (_scenario_exterior_jet,
                               {"d": 2, "m": 2, "count": 20, "samples": 17}, {1, 2, 3}),
     "divergence_identity": (_scenario_divergence,
                             {"d": 2, "m": 2, "count": 20, "samples": 17}, {1, 2, 3}),
-    "weak_strong": (_scenario_weak_strong, {"d": 2, "m": 2, "count": 20}, None),
-    "null_stress": (_scenario_null_stress, {"d": 2, "m": 2, "count": 10, "samples": 17}, None),
+    "weak_strong": (_scenario_weak_strong,
+                    {"d": 2, "m": 2, "q": 8, "panels": 1, "count": 20}, None),
+    "null_stress": (_scenario_null_stress,
+                    {"d": 2, "m": 2, "q": 8, "panels": 4, "count": 10, "samples": 17}, None),
     "hyperelastic_1d_bar": (_scenario_bar, {"samples": 17}, None),
-    "energy_variation": (_scenario_energy_variation, {"d": 1, "m": 1, "count": 10}, None),
-    "equilibrated_translations": (_scenario_equilibrated, {"d": 2, "m": 2}, None),
+    "energy_variation": (_scenario_energy_variation,
+                         {"d": 1, "m": 1, "q": 8, "panels": 1, "count": 10}, None),
+    "equilibrated_translations": (_scenario_equilibrated,
+                                  {"d": 2, "m": 2, "q": 8, "panels": 1}, None),
     "maxwell_vacuum": (_scenario_maxwell, {"samples": 9}, None),
-    "pform_leibniz": (_scenario_pform_leibniz, {"d": 3, "samples": 17}, {3}),
+    "pform_leibniz": (_scenario_pform_leibniz,
+                      {"d": 3, "q": 8, "panels": 2, "samples": 17}, {3}),
 }
 
 
@@ -429,7 +427,7 @@ def run_scenario(cfg: ScenarioConfig) -> Report:
     cfg = replace(cfg, **{k: v for k, v in defaults.items() if getattr(cfg, k) is None})
     if allowed_d is not None and cfg.d not in allowed_d:
         raise ConfigError(f"{cfg.scenario} supports d in {sorted(allowed_d)}, got {cfg.d}")
-    run = _Runner(cfg)
+    run = _Runner(cfg.tolerances)
     runner(cfg, run)
     # check names are known only once the runner has added its checks
     names = [c.name for c in run.checks]
@@ -439,4 +437,4 @@ def run_scenario(cfg: ScenarioConfig) -> Report:
                           f"{cfg.scenario}; its checks: {', '.join(names)}")
     # a report without checks verifies nothing, so it does not pass
     passed = bool(run.checks) and all(c.passed for c in run.checks)
-    return Report(cfg.scenario, asdict(run.cfg), run.checks, passed)
+    return Report(cfg.scenario, asdict(cfg), run.checks, passed)

@@ -160,6 +160,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config_file("/nonexistent/run.cfg")
 
+    def test_non_utf8_file_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes("scenario = stokes  # caf\u00e9\n".encode("latin-1"))
+        assert main(["--config", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"cannot read config file {path}: " in captured.err
+
 
 class TestScenarioRunner:
     def test_unknown_scenario(self):
@@ -213,10 +220,15 @@ class TestScenarioRunner:
         assert not r.passed
 
     def test_echo_is_the_quadrature_that_ran(self):
-        r = run_scenario(ScenarioConfig("null_stress", d=1, m=1, count=1, q=2))
+        r = run_scenario(ScenarioConfig("null_stress", d=1, m=1, count=1, samples=3))
         assert (r.config["q"], r.config["panels"]) == (8, 4)
-        r = run_scenario(ScenarioConfig("pform_leibniz", q=2, samples=3))
-        assert (r.config["q"], r.config["panels"]) == (2, 2)
+        r = run_scenario(ScenarioConfig("pform_leibniz", samples=3))
+        assert (r.config["q"], r.config["panels"]) == (8, 2)
+        # a quadrature the scenario cannot integrate exactly is rejected, not replaced
+        for scenario, values in [("null_stress", {"q": 2}), ("null_stress", {"panels": 3}),
+                                 ("pform_leibniz", {"panels": 1})]:
+            with pytest.raises(ConfigError):
+                run_scenario(ScenarioConfig(scenario, **values))
 
     @pytest.mark.parametrize("scenario, values", [
         ("maxwell_vacuum", {"d": 7}),
@@ -224,10 +236,36 @@ class TestScenarioRunner:
         ("hyperelastic_1d_bar", {"d": 1}),
         ("stokes", {"samples": 5}),
         ("equilibrated_translations", {"count": 2}),
+        ("exterior_jet_identity", {"q": 4}),
+        ("divergence_identity", {"panels": 2}),
+        ("hyperelastic_1d_bar", {"q": 8}),
+        ("maxwell_vacuum", {"panels": 1}),
     ], ids=repr)
     def test_unread_key_rejected(self, scenario, values):
         with pytest.raises(ConfigError):
             run_scenario(ScenarioConfig(scenario, **values))
+
+    @pytest.mark.parametrize("scenario", sorted(REGISTRY))
+    def test_runner_reads_exactly_its_row_keys(self, scenario, monkeypatch):
+        assert scenarios._ROW_KEYS == ("d", "m", "q", "panels", "samples", "count")
+        reads: set[str] = set()
+
+        class RecordingConfig(ScenarioConfig):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return object.__getattribute__(self, name)
+
+        runner, defaults, allowed_d = REGISTRY[scenario]
+        read_by_runner: set[str] = set()
+
+        def recorded(cfg, run):
+            reads.clear()  # run_scenario itself reads every key to fill the row
+            runner(cfg, run)
+            read_by_runner.update(reads & set(scenarios._ROW_KEYS))
+
+        monkeypatch.setitem(REGISTRY, scenario, (recorded, defaults, allowed_d))
+        run_scenario(RecordingConfig(scenario, **TINY[scenario]))
+        assert read_by_runner == set(defaults)
 
     def test_report_without_checks_fails(self, monkeypatch):
         monkeypatch.setitem(REGISTRY, "empty", (lambda cfg, run: None, {}, None))
@@ -411,6 +449,25 @@ class TestMain:
         assert capsys.readouterr().out == ""
         assert json.loads(out.read_text())["scenario"] == "stokes"
 
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "r.json"
+        assert main(["--scenario", "hyperelastic_1d_bar", "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"cannot write report to {out}: " in captured.err
+
+    @pytest.mark.parametrize("line, flags, message", [
+        ("d = two", [], "bad value for d: 'two'"),
+        ("", ["--tolerance", "stokes_00=abc"], "bad tolerance value 'abc'"),
+        ("fd_order = 3", [], "fd_order must be 2 or 4"),
+        ("q = 0", [], "q must be at least 1, got 0"),
+    ], ids=repr)
+    def test_bad_value_is_config_error(self, line, flags, message, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"scenario = stokes\n{line}\n")
+        assert main(["--config", str(path), *flags]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"config error: {message}" in captured.err
+
     def test_flags_override_config_file(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
         path.write_text("scenario = stokes\nseed = 1\n")
@@ -491,33 +548,62 @@ def test_module_entry_point():
     assert proc.stdout.startswith("scenario: stokes")
 
 
+# a check each scenario reports at any count
+FIRST_CHECK = {
+    "stokes": "stokes_00", "exterior_jet_identity": "pair_00", "divergence_identity": "pair_00",
+    "weak_strong": "case_00", "null_stress": "power_00", "hyperelastic_1d_bar": "interior",
+    "energy_variation": "triple_00", "equilibrated_translations": "translation_0",
+    "maxwell_vacuum": "null_wave_dF", "pform_leibniz": "leibniz",
+}
+
+
 @st.composite
-def small_configs(draw) -> dict:
-    """Any scenario at a small config: every key its registry row lists is
-    set small, and the FD step ranges over the whole unit box."""
+def small_runs(draw) -> tuple[dict, list[str]]:
+    """Any scenario at a small config, as config file values and CLI flags.
+    Every key its registry row lists is set small (null_stress's quadrature
+    to one that integrates its bumps exactly), the FD step ranges over the
+    whole unit box, the format is JSON or text, and tolerance overrides name
+    `default`, a check of the scenario or no check, in the file or as a flag."""
     scenario = draw(st.sampled_from(sorted(REGISTRY)))
     values = {"scenario": scenario,
               "seed": draw(st.integers(0, 3)),
-              "q": draw(st.integers(1, 4)),
-              "panels": draw(st.integers(1, 2)),
               "fd_order": draw(st.sampled_from([2, 4])),
               "fd_step": draw(st.floats(0.0, 0.25, exclude_min=True, exclude_max=True))}
-    ranges = {"d": (2, 3) if scenario == "pform_leibniz" else (1, 2), "m": (1, 2),
-              "count": (1, 2), "samples": (2, 5)}
+    null = scenario == "null_stress"
+    keys = {"d": st.integers(2, 3) if scenario == "pform_leibniz" else st.integers(1, 2),
+            "m": st.integers(1, 2), "count": st.integers(1, 2), "samples": st.integers(2, 5),
+            "q": st.integers(8, 9) if null else st.integers(1, 4),
+            "panels": st.sampled_from([4, 8]) if null else st.integers(1, 2)}
     for key in REGISTRY[scenario][1]:
-        values[key] = draw(st.integers(*ranges[key]))
-    return values
+        values[key] = draw(keys[key])
+    flags = ["--format", draw(st.sampled_from(["json", "text"]))]
+    names = st.sampled_from(["default", FIRST_CHECK[scenario], "no_such_check"])
+    for name in draw(st.lists(names, max_size=2, unique=True)):
+        tol = draw(st.sampled_from([1e-300, 1e-6, 1e3]))
+        if draw(st.booleans()):
+            flags += ["--tolerance", f"{name}={tol!r}"]
+        else:
+            values[f"tolerance.{name}"] = tol
+    return values, flags
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
-@given(small_configs())
-def test_any_config_exits_0_1_or_2_with_strict_json(values):
+@given(small_runs())
+def test_any_config_exits_0_1_or_2_with_strict_json(run):
+    values, flags = run
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp) / "run.cfg", Path(tmp) / "report.json"
         cfg.write_text("".join(f"{k} = {v!r}\n" if isinstance(v, float) else f"{k} = {v}\n"
                                for k, v in values.items()))
-        code = main(["--config", str(cfg), "--out", str(out)])
+        code = main(["--config", str(cfg), "--out", str(out), *flags])
         assert code in (EXIT_PASS, EXIT_FAIL, EXIT_CONFIG)
-        if code != EXIT_CONFIG:
+        if any("no_such_check" in entry for entry in [*values, *flags]):
+            assert code == EXIT_CONFIG
+        if code == EXIT_CONFIG:
+            assert not out.exists()
+        elif "text" in flags:
+            lines = out.read_text().splitlines()
+            assert len(lines) > 2 and lines[-1] == f"overall: {'pass' if code == EXIT_PASS else 'FAIL'}"
+        else:
             report = json.loads(out.read_text(), parse_constant=reject_constant)
             assert report["checks"] and report["pass"] == (code == EXIT_PASS)
