@@ -17,6 +17,7 @@ from .sections import (
     FiberSpec,
     JetPoint,
     JetSection,
+    Section,
     VelocityField,
     VelocityJet,
     holonomy_residual,

@@ -525,21 +525,19 @@ def stokes_residual(
     return abs(lhs - rhs)
 
 
-def _grid_axes(dom: ChartDomain, samples: int, margin: float = 0.0) -> list[np.ndarray]:
-    return [np.linspace(lo, hi, samples, endpoint=False) if dom.is_periodic(a)
-            else np.linspace(lo + margin, hi - margin, samples)
+def _grid_axes(dom: ChartDomain, samples: int) -> list[np.ndarray]:
+    return [np.linspace(lo, hi, samples, endpoint=not dom.is_periodic(a))
             for a, (lo, hi) in enumerate(dom.bounds)]
 
 
-def _uniform_grid(dom: ChartDomain, samples: int, margin: float) -> np.ndarray:
-    return _lattice(_grid_axes(dom, samples, margin))
+def _uniform_grid(dom: ChartDomain, samples: int) -> np.ndarray:
+    return _lattice(_grid_axes(dom, samples))
 
 
-def uniform_grid(dom: ChartDomain, samples: int = 17, margin: float = 0.0) -> np.ndarray:
-    """Uniform probe lattice, `samples` points per axis; `margin` clips off
-    the boundary on non-periodic axes, periodic axes drop the duplicate
-    endpoint.  The array is shared and read-only."""
-    return _node_set(_uniform_grid, dom, samples, margin)
+def uniform_grid(dom: ChartDomain, samples: int = 17) -> np.ndarray:
+    """Uniform probe lattice, `samples` points per axis; periodic axes drop
+    the duplicate endpoint.  The array is shared and read-only."""
+    return _node_set(_uniform_grid, dom, samples)
 
 
 def _face_grid(dom: ChartDomain, face: BoundaryFace, samples: int) -> np.ndarray:

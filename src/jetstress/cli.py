@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import fields as dc_fields
 from typing import Any
@@ -155,6 +156,12 @@ def main(argv: list[str] | None = None) -> int:
             except ValueError as exc:
                 raise ConfigError(f"bad tolerance value {raw!r}") from exc
         cfg = build_config(values)
+        if args.out:
+            # a typo in the path should not cost a whole run
+            folder = os.path.dirname(os.path.abspath(args.out))
+            if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+                raise ConfigError(f"cannot write report to {args.out}: "
+                                  f"{folder} is not a writable directory")
         report = run_scenario(cfg)
         payload = emit_report(report, args.format)
         if args.out:

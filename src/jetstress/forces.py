@@ -20,21 +20,11 @@ from .chart import (
     integrate_volume,
 )
 from .fields import constant_field, scaled
-from .sections import Configuration, VelocityField
+from .sections import Configuration, Section, VelocityField
 
 
-@dataclass(frozen=True)
-class BodyForceDensity:
-    """m coefficient fields b_i of dx^i tensor dX."""
-
-    components: tuple[ScalarField, ...]
-
-    @property
-    def fiber_dim(self) -> int:
-        return len(self.components)
-
-    def value(self, X) -> np.ndarray:
-        return np.stack([f(X) for f in self.components], axis=-1)
+# m coefficient fields b_i of dx^i tensor dX
+BodyForceDensity = Section
 
 
 @dataclass(frozen=True)

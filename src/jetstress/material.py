@@ -181,7 +181,7 @@ def energy_variation_residual(kappa: Configuration, v: VelocityField,
     def energy_at(t: float) -> float:
         comps = tuple(ScalarField(lambda X, k=k, vk=vk, t=t: k(X) + t * vk(X))
                       for k, vk in zip(kappa.components, v.components))
-        return total_energy(Configuration(comps, kappa.smoothness), L, None, dom, rule, scheme)
+        return total_energy(Configuration(comps), L, None, dom, rule, scheme)
 
     lhs = (energy_at(VERTICAL_STEP) - energy_at(-VERTICAL_STEP)) / (2 * VERTICAL_STEP)
 
@@ -200,8 +200,6 @@ def bvp_residual(kappa: Configuration, psi: ConstitutiveDensity,
     """Strong-form residuals of the boundary-value problem at kappa: the
     equilibrium residuals of the stress psi along j1 kappa against the
     loading force at kappa."""
-    if kappa.smoothness < 2:
-        raise ValueError("interior residual needs a C2 configuration")
     return equilibrium_residuals(pullback_constitutive(psi, kappa, dom, scheme),
                                  pullback_loading(body_loading, surface_loading, kappa),
                                  dom, scheme, samples)

@@ -240,13 +240,12 @@ def _scenario_bar(cfg: ScenarioConfig, run: _Runner) -> None:
     dom, L, body, surf = _bar_setup()
     scheme = _scheme(cfg)
     psi = material.constitutive_from_lagrangian(L, 1, 1)
-    kappa = Configuration((ScalarField(lambda X: 0.5 * X[..., 0] ** 2),), smoothness=2)
+    kappa = Configuration((ScalarField(lambda X: 0.5 * X[..., 0] ** 2),))
     interior, boundary = material.bvp_residual(kappa, psi, body, surf, dom, scheme, cfg.samples)
     run.add("interior", interior, 1e-6)
     run.add("boundary", boundary, 1e-6)
     bent = Configuration(
-        (ScalarField(lambda X: 0.5 * X[..., 0] ** 2 + 1e-2 * np.sin(math.pi * X[..., 0])),),
-        smoothness=2)
+        (ScalarField(lambda X: 0.5 * X[..., 0] ** 2 + 1e-2 * np.sin(math.pi * X[..., 0])),))
     perturbed, _ = material.bvp_residual(bent, psi, body, surf, dom, scheme, cfg.samples)
     run.add("sensitivity", perturbed, 5e-3, comparator="ge")
 
@@ -285,8 +284,7 @@ def _scenario_energy_variation(cfg: ScenarioConfig, run: _Runner) -> None:
     rng = _rng(cfg)
     rule, scheme = _rule(cfg), _scheme(cfg)
     for k in range(cfg.count):
-        kappa = Configuration(tuple(fields.random_polynomial(rng, d, 3) for _ in range(m)),
-                              smoothness=2)
+        kappa = Configuration(tuple(fields.random_polynomial(rng, d, 3) for _ in range(m)))
         v = random_velocity(rng, d, m)
         L = random_lagrangian(rng, m, d)
         run.add(f"triple_{k:02d}",

@@ -1,10 +1,11 @@
 """Configurations, velocity fields, jet sections, and velocity jets.
 
-Fibers are represented linearly: a configuration is m scalar component
-fields over the chart, and a first jet carries the value block x together
-with the gradient block xprime of shape (m, d); on a point set (..., d) both
-carry the leading point axes, (..., m) and (..., m, d).  Deformation jets need not
-be holonomic; the gradient block is stored, not recomputed.
+Fibers are represented linearly: a configuration, a velocity and a body force
+density are each m scalar component fields over the chart, one record
+`Section`.  A first jet carries the value block x together with the gradient
+block xprime of shape (m, d); on a point set (..., d) both carry the leading
+point axes, (..., m) and (..., m, d).  Deformation jets need not be
+holonomic; the gradient block is stored, not recomputed.
 """
 from __future__ import annotations
 
@@ -36,21 +37,8 @@ class JetPoint:
 
 
 @dataclass(frozen=True)
-class Configuration:
-    components: tuple[ScalarField, ...]
-    smoothness: int = 2
-
-    @property
-    def fiber_dim(self) -> int:
-        return len(self.components)
-
-    def value(self, X) -> np.ndarray:
-        return np.stack([f(X) for f in self.components], axis=-1)
-
-
-@dataclass(frozen=True)
-class VelocityField:
-    """Vertical variation of a configuration; m C1 component fields."""
+class Section:
+    """m scalar component fields over the chart, stacked (..., m) by `value`."""
 
     components: tuple[ScalarField, ...]
 
@@ -60,6 +48,10 @@ class VelocityField:
 
     def value(self, X) -> np.ndarray:
         return np.stack([f(X) for f in self.components], axis=-1)
+
+
+# a configuration and its vertical variation (velocity) are both m component fields
+Configuration = VelocityField = Section
 
 
 @dataclass(frozen=True)

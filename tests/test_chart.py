@@ -493,7 +493,7 @@ class TestSharedNodeSets:
     def builders(self):
         return [lambda: volume_nodes(self.DOM, self.RULE),
                 lambda: face_nodes(self.DOM, self.FACE, self.RULE),
-                lambda: uniform_grid(self.DOM, 4), lambda: uniform_grid(self.DOM, 4, 0.1),
+                lambda: uniform_grid(self.DOM, 4), lambda: uniform_grid(self.DOM, 5),
                 lambda: face_grid(self.DOM, self.FACE, 4)]
 
     def test_public_builders_are_plain_functions(self):
@@ -507,7 +507,7 @@ class TestSharedNodeSets:
             assert first is again
             for a in first if isinstance(first, tuple) else (first,):
                 assert not a.flags.writeable
-        assert uniform_grid(self.DOM, 4) is uniform_grid(self.DOM, samples=4, margin=0.0)
+        assert uniform_grid(self.DOM, 4) is uniform_grid(self.DOM, samples=4)
 
     def test_a_field_that_writes_into_its_points_raises(self):
         def ev(X):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetstress import fields, forms, scenarios, stress
+from jetstress import cli, fields, forms, scenarios, stress
 from jetstress.chart import BoundaryFace
 from jetstress.cli import (
     EXIT_CONFIG,
@@ -434,12 +434,10 @@ class TestMain:
         assert report["checks"][0]["pass"] is False and report["pass"] is False
 
     def test_internal_error_exit_code(self, monkeypatch, capsys):
-        import jetstress.cli as cli_mod
-
         def boom(cfg):
             raise RuntimeError("solver blew up")
 
-        monkeypatch.setattr(cli_mod, "run_scenario", boom)
+        monkeypatch.setattr(cli, "run_scenario", boom)
         assert main(["--scenario", "stokes"]) == EXIT_INTERNAL
         assert "internal error" in capsys.readouterr().err
 
@@ -449,11 +447,15 @@ class TestMain:
         assert capsys.readouterr().out == ""
         assert json.loads(out.read_text())["scenario"] == "stokes"
 
-    def test_unwritable_out_is_config_error(self, tmp_path, capsys):
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # the directory is checked before the scenario runs
+        ran = []
+        monkeypatch.setattr(cli, "run_scenario", ran.append)
         out = tmp_path / "no" / "such" / "r.json"
         assert main(["--scenario", "hyperelastic_1d_bar", "--out", str(out)]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == "" and f"cannot write report to {out}: " in captured.err
+        assert ran == []
 
     @pytest.mark.parametrize("line, flags, message", [
         ("d = two", [], "bad value for d: 'two'"),
@@ -558,22 +560,27 @@ FIRST_CHECK = {
 
 
 @st.composite
-def small_runs(draw) -> tuple[dict, list[str]]:
-    """Any scenario at a small config, as config file values and CLI flags.
-    Every key its registry row lists is set small (null_stress's quadrature
-    to one that integrates its bumps exactly), the FD step ranges over the
-    whole unit box, the format is JSON or text, and tolerance overrides name
-    `default`, a check of the scenario or no check, in the file or as a flag."""
-    scenario = draw(st.sampled_from(sorted(REGISTRY)))
+def small_run(draw, scenario: str) -> tuple[dict, list[str]]:
+    """One run of `scenario` at a small config, as config file values and CLI
+    flags.  Every key its registry row lists is set small (null_stress's
+    quadrature to one that integrates its bumps exactly, pform_leibniz mostly
+    in its one dimension and on enough panels), the FD step mostly moves the
+    coordinate 1.0 but may be any step inside the unit box, the format is
+    JSON or text, and tolerance overrides name `default`, a check of the
+    scenario or no check, in the file or as a flag."""
+    any_step = draw(st.integers(0, 3)) == 3
     values = {"scenario": scenario,
               "seed": draw(st.integers(0, 3)),
               "fd_order": draw(st.sampled_from([2, 4])),
-              "fd_step": draw(st.floats(0.0, 0.25, exclude_min=True, exclude_max=True))}
-    null = scenario == "null_stress"
-    keys = {"d": st.integers(2, 3) if scenario == "pform_leibniz" else st.integers(1, 2),
-            "m": st.integers(1, 2), "count": st.integers(1, 2), "samples": st.integers(2, 5),
+              "fd_step": draw(st.floats(0.0, 0.25, exclude_min=True, exclude_max=True)
+                              if any_step else st.floats(1e-4, 0.25, exclude_max=True))}
+    null, pform = scenario == "null_stress", scenario == "pform_leibniz"
+    keys = {"d": st.sampled_from([3, 3, 2]) if pform else st.integers(1, 2),
+            "m": st.integers(1, 2), "count": st.integers(1, 2),
+            "samples": st.integers(2, 4) if scenario == "maxwell_vacuum" else st.integers(2, 5),
             "q": st.integers(8, 9) if null else st.integers(1, 4),
-            "panels": st.sampled_from([4, 8]) if null else st.integers(1, 2)}
+            "panels": st.sampled_from([4, 8]) if null else st.sampled_from([2, 3, 1]) if pform
+            else st.integers(1, 2)}
     for key in REGISTRY[scenario][1]:
         values[key] = draw(keys[key])
     flags = ["--format", draw(st.sampled_from(["json", "text"]))]
@@ -587,23 +594,26 @@ def small_runs(draw) -> tuple[dict, list[str]]:
     return values, flags
 
 
-@settings(max_examples=60, derandomize=True, deadline=None, database=None)
-@given(small_runs())
-def test_any_config_exits_0_1_or_2_with_strict_json(run):
-    values, flags = run
+# each example runs every scenario once, so that every scenario is reached
+@settings(max_examples=6, derandomize=True, deadline=None, database=None)
+@given(st.tuples(*(small_run(scenario) for scenario in sorted(REGISTRY))))
+def test_any_config_exits_0_1_or_2_with_strict_json(runs):
     with tempfile.TemporaryDirectory() as tmp:
-        cfg, out = Path(tmp) / "run.cfg", Path(tmp) / "report.json"
-        cfg.write_text("".join(f"{k} = {v!r}\n" if isinstance(v, float) else f"{k} = {v}\n"
-                               for k, v in values.items()))
-        code = main(["--config", str(cfg), "--out", str(out), *flags])
-        assert code in (EXIT_PASS, EXIT_FAIL, EXIT_CONFIG)
-        if any("no_such_check" in entry for entry in [*values, *flags]):
-            assert code == EXIT_CONFIG
-        if code == EXIT_CONFIG:
-            assert not out.exists()
-        elif "text" in flags:
-            lines = out.read_text().splitlines()
-            assert len(lines) > 2 and lines[-1] == f"overall: {'pass' if code == EXIT_PASS else 'FAIL'}"
-        else:
-            report = json.loads(out.read_text(), parse_constant=reject_constant)
-            assert report["checks"] and report["pass"] == (code == EXIT_PASS)
+        for values, flags in runs:
+            cfg = Path(tmp) / "run.cfg"
+            out = Path(tmp) / f"{values['scenario']}.json"
+            cfg.write_text("".join(f"{k} = {v!r}\n" if isinstance(v, float) else f"{k} = {v}\n"
+                                   for k, v in values.items()))
+            code = main(["--config", str(cfg), "--out", str(out), *flags])
+            assert code in (EXIT_PASS, EXIT_FAIL, EXIT_CONFIG)
+            if any("no_such_check" in entry for entry in [*values, *flags]):
+                assert code == EXIT_CONFIG
+            if code == EXIT_CONFIG:
+                assert not out.exists()
+            elif "text" in flags:
+                lines = out.read_text().splitlines()
+                verdict = "pass" if code == EXIT_PASS else "FAIL"
+                assert len(lines) > 2 and lines[-1] == f"overall: {verdict}"
+            else:
+                report = json.loads(out.read_text(), parse_constant=reject_constant)
+                assert report["checks"] and report["pass"] == (code == EXIT_PASS)

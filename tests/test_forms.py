@@ -145,7 +145,8 @@ class TestExteriorDerivative:
         lhs = exterior_derivative(wedge(a, b), UNIT2)
         rhs1 = wedge(exterior_derivative(a, UNIT2), b)
         rhs2 = wedge(a, exterior_derivative(b, UNIT2))
-        for X in uniform_grid(UNIT2, 4, margin=0.1):
+        t = np.linspace(0.1, 0.9, 4)  # interior points, off the boundary
+        for X in np.array([(x, y) for x in t for y in t]):
             got = lhs.component((0, 1))(X)
             want = rhs1.component((0, 1))(X) - rhs2.component((0, 1))(X)
             assert got == pytest.approx(want, abs=1e-6)

@@ -54,7 +54,7 @@ class TestPullback:
 
     def test_linear_in_constitutive_components(self):
         rng = np.random.default_rng(3)
-        kappa = Configuration((fields.random_polynomial(rng, 1, 3),), smoothness=99)
+        kappa = Configuration((fields.random_polynomial(rng, 1, 3),))
 
         def pl(jp):
             return float(jp.x[0] * jp.xprime[0, 0])
@@ -206,12 +206,12 @@ class TestTotalEnergy:
 
     def test_quadratic_stored_energy(self):
         # L = (1/2)(x')^2, kappa = X: energy 1/2
-        kappa = Configuration((ScalarField(lambda X: X[..., 0]),), smoothness=99)
+        kappa = Configuration((ScalarField(lambda X: X[..., 0]),))
         L = LagrangianDensity(lambda jp: 0.5 * jp.xprime[..., 0, 0] ** 2)
         assert total_energy(kappa, L, None, UNIT1) == pytest.approx(0.5, abs=1e-10)
 
     def test_constant_shift(self):
-        kappa = Configuration((ScalarField(lambda X: X[..., 0]),), smoothness=99)
+        kappa = Configuration((ScalarField(lambda X: X[..., 0]),))
         L1 = LagrangianDensity(lambda jp: 0.5 * jp.xprime[..., 0, 0] ** 2)
         L2 = LagrangianDensity(lambda jp: 0.5 * jp.xprime[..., 0, 0] ** 2 + 3.0)
         e1 = total_energy(kappa, L1, None, UNIT1)
@@ -221,21 +221,21 @@ class TestTotalEnergy:
     def test_potential_terms(self):
         face = BoundaryFace(0, "upper")
         w = PotentialDensities(lambda X, x: x[..., 0], {face: lambda X, x: x[..., 0]})
-        kappa = Configuration((ScalarField(lambda X: X[..., 0]),), smoothness=99)
+        kappa = Configuration((ScalarField(lambda X: X[..., 0]),))
         # body integral of X is 1/2, face value at X=1 is 1
         assert total_energy(kappa, None, w, UNIT1) == pytest.approx(1.5, abs=1e-12)
 
 
 class TestEnergyVariation:
     def test_zero_velocity(self):
-        kappa = Configuration((ScalarField(lambda X: X[..., 0]),), smoothness=99)
+        kappa = Configuration((ScalarField(lambda X: X[..., 0]),))
         L = LagrangianDensity(lambda jp: 0.5 * jp.xprime[..., 0, 0] ** 2)
         v = VelocityField((fields.constant_field(0.0),))
         assert energy_variation_residual(kappa, v, L, UNIT1) <= 1e-12
 
     def test_linear_configuration(self):
         # kappa = X, v = X(1-X): both sides equal integral of (1 - 2X) = 0
-        kappa = Configuration((ScalarField(lambda X: X[..., 0]),), smoothness=99)
+        kappa = Configuration((ScalarField(lambda X: X[..., 0]),))
         L = LagrangianDensity(lambda jp: 0.5 * jp.xprime[..., 0, 0] ** 2)
         v = VelocityField((ScalarField(lambda X: X[..., 0] * (1 - X[..., 0])),))
         assert energy_variation_residual(kappa, v, L, UNIT1) <= 1e-8
@@ -243,7 +243,7 @@ class TestEnergyVariation:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_random_polynomial_data(self, seed):
         rng = np.random.default_rng(seed)
-        kappa = Configuration((fields.random_polynomial(rng, 1, 3),), smoothness=99)
+        kappa = Configuration((fields.random_polynomial(rng, 1, 3),))
         v = VelocityField((fields.random_polynomial(rng, 1, 3),))
         L = LagrangianDensity(lambda jp: 0.5 * jp.xprime[..., 0, 0] ** 2
                               + jp.x[..., 0] ** 2)
@@ -313,12 +313,6 @@ class TestBVP:
         with pytest.raises(ValueError, match="traction components"):
             pullback_loading(B, T, kappa)
 
-    def test_rough_configuration_rejected(self):
-        _, psi, _, B, T, _ = bar_problem()
-        rough = Configuration((ScalarField(lambda X: X[..., 0]),), smoothness=1)
-        with pytest.raises(ValueError):
-            bvp_residual(rough, psi, B, T, UNIT1)
-
     def test_weak_criticality_implies_strong_residual(self):
         # the first variation of the total energy vanishes at the bar solution
         # for every test velocity, and the strong-form residuals vanish with it
@@ -331,7 +325,7 @@ class TestBVP:
             def energy_at(t):
                 comps = (ScalarField(
                     lambda X, t=t: kappa.components[0](X) + t * v.components[0](X)),)
-                return total_energy(Configuration(comps, 99), L, w, UNIT1)
+                return total_energy(Configuration(comps), L, w, UNIT1)
 
             variation = (energy_at(t_step) - energy_at(-t_step)) / (2 * t_step)
             assert abs(variation) <= 1e-6
@@ -346,7 +340,7 @@ def test_hyperelastic_power_matches_energy_rate():
     L = LagrangianDensity(
         lambda jp: 0.5 * np.sum(jp.xprime ** 2, axis=(-2, -1)) + np.sum(jp.x ** 2, axis=-1))
     kappa = Configuration(tuple(fields.random_polynomial(rng, 2, 2)
-                                for _ in range(2)), smoothness=99)
+                                for _ in range(2)))
     v = VelocityField(tuple(fields.random_polynomial(rng, 2, 2) for _ in range(2)))
     assert energy_variation_residual(kappa, v, L, UNIT2, QuadratureRule(6)) <= 1e-6
 

@@ -118,7 +118,7 @@ class TestIsoK:
 class TestHolonomy:
     def test_prolonged_jet_is_holonomic(self):
         rng = np.random.default_rng(5)
-        kappa = Configuration((fields.random_polynomial(rng, 2, 3),), smoothness=99)
+        kappa = Configuration((fields.random_polynomial(rng, 2, 3),))
         jet = jet_prolong_config(kappa, UNIT2)
         assert holonomy_residual(jet, UNIT2, samples=9) <= 1e-6
 
@@ -128,7 +128,7 @@ class TestHolonomy:
         # the default order-4 scheme, what is left is the order-2 truncation
         # error, which falls as h**2
         rng = np.random.default_rng(5)
-        kappa = Configuration((fields.random_polynomial(rng, 2, 3),), smoothness=99)
+        kappa = Configuration((fields.random_polynomial(rng, 2, 3),))
         against_default = []
         for scheme in (FDScheme(1e-2, 2), FDScheme(1e-3, 2)):
             xi = jet_prolong_config(kappa, UNIT2, scheme)
