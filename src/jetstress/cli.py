@@ -2,7 +2,7 @@
 
 Config files are flat `key = value` text with `#` comments; CLI flags
 override file values.  Exit codes: 0 all checks pass, 1 a check failed,
-2 config error or unwritable --out, 3 internal error.
+2 config error, unwritable --out or out of memory, 3 internal error.
 
 JSON reports use a stable schema (keys: scenario, config, checks[], pass);
 floats are written as their shortest round-trip repr, so parsing reproduces
@@ -159,6 +159,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.out:
             # a typo in the path should not cost a whole run
             folder = os.path.dirname(os.path.abspath(args.out))
+            if os.path.isdir(args.out):
+                raise ConfigError(f"cannot write report to {args.out}: it is a directory")
             if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
                 raise ConfigError(f"cannot write report to {args.out}: "
                                   f"{folder} is not a writable directory")
@@ -174,6 +176,9 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(payload)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError:
+        print("config error: the config is too large for this machine's memory", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - runner boundary
         print(f"internal error: {exc}", file=sys.stderr)

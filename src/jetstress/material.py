@@ -17,7 +17,7 @@ interior residual is  d_a(psi_i^a along j1 kappa) - psi_i + B_i.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -49,8 +49,7 @@ SurfaceLoading = Mapping[BoundaryFace, tuple[FiberEval, ...]]
 VERTICAL_STEP = 1e-4
 
 
-@dataclass(frozen=True)
-class ConstitutiveDensity:
+class ConstitutiveDensity(NamedTuple):
     """Jet-coordinate stress assignment: psi_lower[i] and psi_mixed[i][a]
     evaluate at a JetPoint and give the components of the induced
     variational stress density."""
@@ -70,8 +69,7 @@ class LagrangianDensity:
         return np.asarray(self.func(jp), dtype=float)
 
 
-@dataclass(frozen=True)
-class PotentialDensities:
+class PotentialDensities(NamedTuple):
     """Configuration-dependent potential densities whose negative vertical
     derivatives are the loading densities."""
 

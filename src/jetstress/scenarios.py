@@ -7,13 +7,17 @@ residuals.  A scenario's defaults and allowed dimensions live in its
 `REGISTRY` row, which names every optional key the scenario reads;
 `run_scenario` fills every key the config leaves unset from that row and
 rejects a key the row does not name, so the echoed config is the one that ran.
+
+A runner yields (name, value, default tolerance, comparator) per check, in
+report order; `run_scenario` resolves each tolerance override, gives the
+verdict and times each check from the previous one.
 """
 from __future__ import annotations
 
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields as dc_fields, replace
-from typing import Callable
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -30,8 +34,7 @@ class UnknownScenarioError(ConfigError):
     """Scenario id not in the registry."""
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     value: float
     tolerance: float
@@ -40,8 +43,7 @@ class Check:
     seconds: float
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     scenario: str
     config: dict
     checks: list[Check]
@@ -87,21 +89,7 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be at least {low}, got {value}")
 
 
-class _Runner:
-    """Accumulates checks and resolves tolerance overrides."""
-
-    def __init__(self, tolerances: dict[str, float]):
-        self.tolerances = tolerances
-        self.checks: list[Check] = []
-        self._t0 = time.perf_counter()
-
-    def add(self, name: str, value: float, default_tol: float, comparator: str = "le") -> None:
-        t1 = time.perf_counter()
-        tol = self.tolerances.get(name, self.tolerances.get("default", default_tol))
-        # a non-finite value fails whatever the comparator
-        ok = math.isfinite(value) and (value <= tol if comparator == "le" else value >= tol)
-        self.checks.append(Check(name, float(value), float(tol), comparator, bool(ok), t1 - self._t0))
-        self._t0 = t1
+Checks = Iterator[tuple[str, float, float, str]]  # comparator "le" | "ge"
 
 
 def _rng(cfg: ScenarioConfig) -> np.random.Generator:
@@ -133,17 +121,17 @@ def random_traction(rng: np.random.Generator, d: int, m: int) -> stress.Traction
         tuple(tuple(fields.random_polynomial(rng, d) for _ in range(d)) for _ in range(m)))
 
 
-def _scenario_stokes(cfg: ScenarioConfig, run: _Runner) -> None:
+def _scenario_stokes(cfg: ScenarioConfig) -> Checks:
     d = cfg.d
     dom = ChartDomain.unit(d)
     rng = _rng(cfg)
     rule, scheme = _rule(cfg), _scheme(cfg)
     for k in range(cfg.count):
         omega = [fields.random_polynomial(rng, d, 3) for _ in range(d)]
-        run.add(f"stokes_{k:02d}", chart.stokes_residual(omega, dom, rule, scheme), 1e-6)
+        yield f"stokes_{k:02d}", chart.stokes_residual(omega, dom, rule, scheme), 1e-6, "le"
 
 
-def _scenario_exterior_jet(cfg: ScenarioConfig, run: _Runner) -> None:
+def _scenario_exterior_jet(cfg: ScenarioConfig) -> Checks:
     d, m = cfg.d, cfg.m
     dom = ChartDomain.unit(d)
     rng = _rng(cfg)
@@ -160,10 +148,10 @@ def _scenario_exterior_jet(cfg: ScenarioConfig, run: _Runner) -> None:
         worst = sup_norm(
             lambda X: chart.fd_divergence(w, X, dom, scheme) - stress.stress_pairing(s, eta, X),
             grid)
-        run.add(f"pair_{k:02d}", worst, 1e-6)
+        yield f"pair_{k:02d}", worst, 1e-6, "le"
 
 
-def _scenario_divergence(cfg: ScenarioConfig, run: _Runner) -> None:
+def _scenario_divergence(cfg: ScenarioConfig) -> Checks:
     """div(s) . v against the pairing of v's jet with exterior_jet(traction
     of s) minus s, on the probe lattice.  Both sides share one discrete
     gradient, so the check holds for any constant multiple of the derivative
@@ -183,10 +171,10 @@ def _scenario_divergence(cfg: ScenarioConfig, run: _Runner) -> None:
         worst = sup_norm(
             lambda X: np.sum(div.value(X) * v.value(X), axis=-1)
             - (stress.stress_pairing(lifted, eta, X) - stress.stress_pairing(s, eta, X)), grid)
-        run.add(f"pair_{k:02d}", worst, 1e-6)
+        yield f"pair_{k:02d}", worst, 1e-6, "le"
 
 
-def _scenario_weak_strong(cfg: ScenarioConfig, run: _Runner) -> None:
+def _scenario_weak_strong(cfg: ScenarioConfig) -> Checks:
     d, m = cfg.d, cfg.m
     dom = ChartDomain.unit(d)
     rng = _rng(cfg)
@@ -194,11 +182,11 @@ def _scenario_weak_strong(cfg: ScenarioConfig, run: _Runner) -> None:
     for k in range(cfg.count):
         s = random_stress(rng, d, m)
         v = random_velocity(rng, d, m)
-        run.add(f"case_{k:02d}",
-                equilibrium.weak_strong_consistency(s, v, dom, rule, scheme), 1e-6)
+        yield (f"case_{k:02d}",
+               equilibrium.weak_strong_consistency(s, v, dom, rule, scheme), 1e-6, "le")
 
 
-def _scenario_null_stress(cfg: ScenarioConfig, run: _Runner) -> None:
+def _scenario_null_stress(cfg: ScenarioConfig) -> Checks:
     # the bumps are of degree 12 per axis on [0.25, 0.75]; with their support
     # edges on panel edges, q >= 8 integrates them exactly up to FD noise
     if cfg.q < 8 or cfg.panels % 4:
@@ -217,11 +205,11 @@ def _scenario_null_stress(cfg: ScenarioConfig, run: _Runner) -> None:
         tau = stress.TractionStressDensity(taus)
         s = stress.exterior_jet(tau, dom, scheme)
         power = np.linalg.norm(stress.virtual_power_of_stress(s, tests, dom, rule, scheme), np.inf)
-        run.add(f"power_{k:02d}", power, 1e-8)
+        yield f"power_{k:02d}", power, 1e-8, "le"
         magnitude = sup_norm(lambda X: [g(X) for row in s.s_mixed for g in row], grid)
-        run.add(f"magnitude_{k:02d}", magnitude, 0.1, comparator="ge")
+        yield f"magnitude_{k:02d}", magnitude, 0.1, "ge"
         div = stress.divergence(s, dom, scheme)
-        run.add(f"divergence_{k:02d}", sup_norm(div.value, grid), 1e-6)
+        yield f"divergence_{k:02d}", sup_norm(div.value, grid), 1e-6, "le"
 
 
 def _bar_setup() -> tuple[ChartDomain, material.LagrangianDensity,
@@ -236,18 +224,18 @@ def _bar_setup() -> tuple[ChartDomain, material.LagrangianDensity,
     return dom, L, body, surf
 
 
-def _scenario_bar(cfg: ScenarioConfig, run: _Runner) -> None:
+def _scenario_bar(cfg: ScenarioConfig) -> Checks:
     dom, L, body, surf = _bar_setup()
     scheme = _scheme(cfg)
     psi = material.constitutive_from_lagrangian(L, 1, 1)
     kappa = Configuration((ScalarField(lambda X: 0.5 * X[..., 0] ** 2),))
     interior, boundary = material.bvp_residual(kappa, psi, body, surf, dom, scheme, cfg.samples)
-    run.add("interior", interior, 1e-6)
-    run.add("boundary", boundary, 1e-6)
+    yield "interior", interior, 1e-6, "le"
+    yield "boundary", boundary, 1e-6, "le"
     bent = Configuration(
         (ScalarField(lambda X: 0.5 * X[..., 0] ** 2 + 1e-2 * np.sin(math.pi * X[..., 0])),))
     perturbed, _ = material.bvp_residual(bent, psi, body, surf, dom, scheme, cfg.samples)
-    run.add("sensitivity", perturbed, 5e-3, comparator="ge")
+    yield "sensitivity", perturbed, 5e-3, "ge"
 
 
 def _exponents(n: int, degree: int) -> list[tuple[int, ...]]:
@@ -272,7 +260,7 @@ def random_lagrangian(rng: np.random.Generator, m: int, d: int) -> material.Lagr
     return material.LagrangianDensity(ev)
 
 
-def _scenario_energy_variation(cfg: ScenarioConfig, run: _Runner) -> None:
+def _scenario_energy_variation(cfg: ScenarioConfig) -> Checks:
     """The rate of the stored energy along v against the virtual power of
     the hyperelastic stress on v.  Both sides take the configuration's jet
     from one discrete gradient, so the check holds for any constant multiple
@@ -287,11 +275,11 @@ def _scenario_energy_variation(cfg: ScenarioConfig, run: _Runner) -> None:
         kappa = Configuration(tuple(fields.random_polynomial(rng, d, 3) for _ in range(m)))
         v = random_velocity(rng, d, m)
         L = random_lagrangian(rng, m, d)
-        run.add(f"triple_{k:02d}",
-                material.energy_variation_residual(kappa, v, L, dom, rule, scheme), 1e-6)
+        yield (f"triple_{k:02d}",
+               material.energy_variation_residual(kappa, v, L, dom, rule, scheme), 1e-6, "le")
 
 
-def _scenario_equilibrated(cfg: ScenarioConfig, run: _Runner) -> None:
+def _scenario_equilibrated(cfg: ScenarioConfig) -> Checks:
     d, m = cfg.d, cfg.m
     dom = ChartDomain.unit(d)
     rng = _rng(cfg)
@@ -300,7 +288,7 @@ def _scenario_equilibrated(cfg: ScenarioConfig, run: _Runner) -> None:
     f = equilibrium.force_from_stress(s, dom, scheme)
     gens = forces.translation_generators(m)
     for label, value in forces.equilibrated_force_residual(f, gens, dom, rule).items():
-        run.add(label, value, 1e-8)
+        yield label, value, 1e-8, "le"
 
 
 def plane_wave_potential(k: np.ndarray, eps: np.ndarray) -> forms.PForm:
@@ -314,7 +302,7 @@ def plane_wave_potential(k: np.ndarray, eps: np.ndarray) -> forms.PForm:
     return forms.PForm(1, 4, comps)
 
 
-def _scenario_maxwell(cfg: ScenarioConfig, run: _Runner) -> None:
+def _scenario_maxwell(cfg: ScenarioConfig) -> Checks:
     dom = ChartDomain.unit(4, periodic=range(4))
     metric = forms.minkowski()
     scheme = _scheme(cfg)
@@ -323,23 +311,23 @@ def _scenario_maxwell(cfg: ScenarioConfig, run: _Runner) -> None:
     eps = np.array([0.0, 0.0, 1.0, 0.0])
     A = plane_wave_potential(k_null, eps)
     dF, J = forms.maxwell_vacuum_check(A, metric, dom, scheme, cfg.samples)
-    run.add("null_wave_dF", dF, 1e-6)
-    run.add("null_wave_J", J, 1e-6)
+    yield "null_wave_dF", dF, 1e-6, "le"
+    yield "null_wave_J", J, 1e-6, "le"
 
     k_bad = np.array([1.0, 0.0, 0.0, 0.0])
     A_bad = plane_wave_potential(k_bad, eps)
     # only the source of the non-null wave is checked, so its dF is not computed
     _, J_bad = forms.maxwell_fields(A_bad, metric, dom, scheme)
-    run.add("non_null_J", forms.form_sup_norm(J_bad, dom, cfg.samples), 0.1, comparator="ge")
+    yield "non_null_J", forms.form_sup_norm(J_bad, dom, cfg.samples), 0.1, "ge"
 
     rng = _rng(cfg)
     B = forms.PForm(1, 4, {(mu,): fields.random_sine_field(rng, 4, n_modes=1)
                            for mu in range(4)})
     ddB = forms.exterior_derivative(forms.exterior_derivative(B, dom, scheme), dom, scheme)
-    run.add("dd_zero", forms.form_sup_norm(ddB, dom, cfg.samples), 1e-6)
+    yield "dd_zero", forms.form_sup_norm(ddB, dom, cfg.samples), 1e-6, "le"
 
 
-def _scenario_pform_leibniz(cfg: ScenarioConfig, run: _Runner) -> None:
+def _scenario_pform_leibniz(cfg: ScenarioConfig) -> Checks:
     # the closed-box power integrates a whole sine period per axis; on one
     # panel of 8 nodes that is off by 4e-6, beyond the checks' 1e-6
     if cfg.panels < 2:
@@ -357,12 +345,12 @@ def _scenario_pform_leibniz(cfg: ScenarioConfig, run: _Runner) -> None:
     worst = sup_norm(lambda X: [lhs.component(idx)(X)
                                 - (da_b.component(idx)(X) - a_db.component(idx)(X))
                                 for idx in lhs.indices()], uniform_grid(dom, cfg.samples))
-    run.add("leibniz", worst, 1e-6)
+    yield "leibniz", worst, 1e-6, "le"
 
     ab, ba = forms.wedge(a, b), forms.wedge(b, a)
     anti = sup_norm(lambda X: [ab.component(idx)(X) + ba.component(idx)(X)
                                for idx in ab.indices()], uniform_grid(dom, 5))
-    run.add("anticommute", anti, 1e-12)
+    yield "anticommute", anti, 1e-12, "le"
 
     # closed-box power: on a torus the power of any smooth pair integrates to
     # zero.  The 1-forms share modes: g_i = a_i sin(theta_i) with theta_i =
@@ -380,20 +368,20 @@ def _scenario_pform_leibniz(cfg: ScenarioConfig, run: _Runner) -> None:
     g, v = forms.PForm(1, d, g), forms.PForm(1, d, v)
     rule = _rule(cfg)
     power = forms.pform_virtual_power(g, v, None, per, rule, scheme)
-    run.add("closed_box_power", abs(power), 1e-6)
+    yield "closed_box_power", abs(power), 1e-6, "le"
     dg_v = forms.wedge(forms.exterior_derivative(g, per, scheme), v).component(tuple(range(d)))
     integral = chart.integrate_volume(dg_v, per, rule)
-    run.add("magnitude_dg_v", abs(integral), 0.1, comparator="ge")
+    yield "magnitude_dg_v", abs(integral), 0.1, "ge"
     # the integral's exact value anchors the derivative's scale and sign,
     # which the identity checks above cannot see
-    run.add("signed_dg_v", abs(integral + math.pi * ab), 1e-6)
+    yield "signed_dg_v", abs(integral + math.pi * ab), 1e-6, "le"
 
 
 # id -> (runner, defaults of the optional config keys it reads, allowed d or
 # None for any); the optional keys are those defaulting to None, and a row
 # names exactly the ones its runner reads
 _ROW_KEYS = tuple(f.name for f in dc_fields(ScenarioConfig) if f.default is None)
-REGISTRY: dict[str, tuple[Callable[[ScenarioConfig, _Runner], None], dict, set | None]] = {
+REGISTRY: dict[str, tuple[Callable[[ScenarioConfig], Checks], dict, set | None]] = {
     "stokes": (_scenario_stokes, {"d": 2, "q": 8, "panels": 1, "count": 20}, {1, 2, 3}),
     "exterior_jet_identity": (_scenario_exterior_jet,
                               {"d": 2, "m": 2, "count": 20, "samples": 17}, {1, 2, 3}),
@@ -425,14 +413,21 @@ def run_scenario(cfg: ScenarioConfig) -> Report:
     cfg = replace(cfg, **{k: v for k, v in defaults.items() if getattr(cfg, k) is None})
     if allowed_d is not None and cfg.d not in allowed_d:
         raise ConfigError(f"{cfg.scenario} supports d in {sorted(allowed_d)}, got {cfg.d}")
-    run = _Runner(cfg.tolerances)
-    runner(cfg, run)
-    # check names are known only once the runner has added its checks
-    names = [c.name for c in run.checks]
+    checks: list[Check] = []
+    t0 = time.perf_counter()
+    for name, value, default_tol, comparator in runner(cfg):
+        t1 = time.perf_counter()
+        tol = cfg.tolerances.get(name, cfg.tolerances.get("default", default_tol))
+        # a non-finite value fails whatever the comparator
+        ok = math.isfinite(value) and (value <= tol if comparator == "le" else value >= tol)
+        checks.append(Check(name, float(value), float(tol), comparator, bool(ok), t1 - t0))
+        t0 = t1
+    # check names are known only once the runner has yielded its checks
+    names = [c.name for c in checks]
     stray = [k for k in cfg.tolerances if k != "default" and k not in names]
     if stray:
         raise ConfigError(f"tolerance {', '.join(stray)} matches no check of "
                           f"{cfg.scenario}; its checks: {', '.join(names)}")
     # a report without checks verifies nothing, so it does not pass
-    passed = bool(run.checks) and all(c.passed for c in run.checks)
-    return Report(cfg.scenario, asdict(cfg), run.checks, passed)
+    passed = bool(checks) and all(c.passed for c in checks)
+    return Report(cfg.scenario, asdict(cfg), checks, passed)

@@ -10,7 +10,7 @@ holonomic; the gradient block is stored, not recomputed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,8 +26,7 @@ class FiberSpec:
             raise ValueError("fiber dimension must be at least 1")
 
 
-@dataclass(frozen=True)
-class JetPoint:
+class JetPoint(NamedTuple):
     """Jet coordinates at a point set: X (..., d), x (..., m) and xprime
     (..., m, d); one base point is the case ... = ()."""
 

@@ -9,7 +9,7 @@ derivatives of the composed coefficient fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,8 +59,7 @@ class VariationalStressDensity:
         return lower, mixed
 
 
-@dataclass(frozen=True)
-class TractionStressDensity:
+class TractionStressDensity(NamedTuple):
     """Components tau_i^a of dx^i tensor (e_a interior-product dX)."""
 
     tau: tuple[tuple[ScalarField, ...], ...]

@@ -258,9 +258,9 @@ class TestScenarioRunner:
         runner, defaults, allowed_d = REGISTRY[scenario]
         read_by_runner: set[str] = set()
 
-        def recorded(cfg, run):
+        def recorded(cfg):
             reads.clear()  # run_scenario itself reads every key to fill the row
-            runner(cfg, run)
+            yield from runner(cfg)
             read_by_runner.update(reads & set(scenarios._ROW_KEYS))
 
         monkeypatch.setitem(REGISTRY, scenario, (recorded, defaults, allowed_d))
@@ -268,7 +268,7 @@ class TestScenarioRunner:
         assert read_by_runner == set(defaults)
 
     def test_report_without_checks_fails(self, monkeypatch):
-        monkeypatch.setitem(REGISTRY, "empty", (lambda cfg, run: None, {}, None))
+        monkeypatch.setitem(REGISTRY, "empty", (lambda cfg: iter(()), {}, None))
         r = run_scenario(ScenarioConfig("empty"))
         assert r.checks == [] and not r.passed
 
@@ -277,7 +277,7 @@ class TestScenarioRunner:
     ])
     def test_non_finite_value_fails(self, monkeypatch, value, comparator):
         monkeypatch.setitem(REGISTRY, "probe", (
-            lambda cfg, run: run.add("probe", value, 1.0, comparator), {}, None))
+            lambda cfg: iter([("probe", value, 1.0, comparator)]), {}, None))
         r = run_scenario(ScenarioConfig("probe"))
         assert not r.checks[0].passed and not r.passed
 
@@ -427,7 +427,7 @@ class TestMain:
 
     def test_non_finite_value_is_null_in_strict_json(self, monkeypatch, capsys):
         monkeypatch.setitem(REGISTRY, "probe", (
-            lambda cfg, run: run.add("probe", float("nan"), 1.0), {}, None))
+            lambda cfg: iter([("probe", float("nan"), 1.0, "le")]), {}, None))
         assert main(["--scenario", "probe"]) == EXIT_FAIL
         report = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
         assert report["checks"][0]["value"] is None
@@ -456,6 +456,25 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == "" and f"cannot write report to {out}: " in captured.err
         assert ran == []
+
+    def test_out_naming_a_directory_is_config_error(self, tmp_path, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(cli, "run_scenario", ran.append)
+        assert main(["--scenario", "hyperelastic_1d_bar", "--out", str(tmp_path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"cannot write report to {tmp_path}: it is a directory" in captured.err
+        assert ran == []
+
+    def test_out_of_memory_is_config_error(self, monkeypatch, capsys):
+        def too_large(cfg):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run_scenario", too_large)
+        assert main(["--scenario", "maxwell_vacuum"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("config error: ")
+        assert "too large for this machine" in captured.err
 
     @pytest.mark.parametrize("line, flags, message", [
         ("d = two", [], "bad value for d: 'two'"),
@@ -560,14 +579,17 @@ FIRST_CHECK = {
 
 
 @st.composite
-def small_run(draw, scenario: str) -> tuple[dict, list[str]]:
-    """One run of `scenario` at a small config, as config file values and CLI
-    flags.  Every key its registry row lists is set small (null_stress's
-    quadrature to one that integrates its bumps exactly, pform_leibniz mostly
-    in its one dimension and on enough panels), the FD step mostly moves the
-    coordinate 1.0 but may be any step inside the unit box, the format is
-    JSON or text, and tolerance overrides name `default`, a check of the
-    scenario or no check, in the file or as a flag."""
+def small_run(draw, scenario: str) -> tuple[dict, list[str], str, bool]:
+    """One run of `scenario` at a small config, as config file values, CLI
+    flags, the config file's text and whether that text is malformed.  Every
+    key its registry row lists is set small (null_stress's quadrature to one
+    that integrates its bumps exactly, pform_leibniz mostly in its one
+    dimension and on enough panels), the FD step mostly moves the coordinate
+    1.0 but may be any step inside the unit box, the format is JSON or text,
+    and tolerance overrides name `default`, a check of the scenario or no
+    check, in the file or as a flag.  The file carries comments (some holding
+    an `=`), trailing comments and blank lines, and one draw in four also a
+    duplicated key or a line with no `=`."""
     any_step = draw(st.integers(0, 3)) == 3
     values = {"scenario": scenario,
               "seed": draw(st.integers(0, 3)),
@@ -591,7 +613,17 @@ def small_run(draw, scenario: str) -> tuple[dict, list[str]]:
             flags += ["--tolerance", f"{name}={tol!r}"]
         else:
             values[f"tolerance.{name}"] = tol
-    return values, flags
+    keyed = [f"{k} = {v!r}" if isinstance(v, float) else f"{k} = {v}" for k, v in values.items()]
+    lines = [line + draw(st.sampled_from(["", "  # note", "\t# d = 9"])) for line in keyed]
+    extras = st.sampled_from(["", "   ", "# comment", "# seed = x", "  # scenario = stokes"])
+    fault = draw(st.sampled_from(["duplicate", "no_equals"])) if draw(st.integers(0, 3)) == 3 else ""
+    if fault == "duplicate":
+        extras = st.just(draw(st.sampled_from(keyed)))
+    elif fault == "no_equals":
+        extras = st.sampled_from(["fd_step 1e-3", "oops  # d = 2", scenario])
+    for extra in draw(st.lists(extras, min_size=1 if fault else 0, max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    return values, flags, "".join(f"{line}\n" for line in lines), bool(fault)
 
 
 # each example runs every scenario once, so that every scenario is reached
@@ -599,14 +631,13 @@ def small_run(draw, scenario: str) -> tuple[dict, list[str]]:
 @given(st.tuples(*(small_run(scenario) for scenario in sorted(REGISTRY))))
 def test_any_config_exits_0_1_or_2_with_strict_json(runs):
     with tempfile.TemporaryDirectory() as tmp:
-        for values, flags in runs:
+        for values, flags, text, malformed in runs:
             cfg = Path(tmp) / "run.cfg"
             out = Path(tmp) / f"{values['scenario']}.json"
-            cfg.write_text("".join(f"{k} = {v!r}\n" if isinstance(v, float) else f"{k} = {v}\n"
-                                   for k, v in values.items()))
+            cfg.write_text(text)
             code = main(["--config", str(cfg), "--out", str(out), *flags])
             assert code in (EXIT_PASS, EXIT_FAIL, EXIT_CONFIG)
-            if any("no_such_check" in entry for entry in [*values, *flags]):
+            if malformed or any("no_such_check" in entry for entry in [*values, *flags]):
                 assert code == EXIT_CONFIG
             if code == EXIT_CONFIG:
                 assert not out.exists()

@@ -14,6 +14,10 @@ A parameter with a default counts as overridden when some call in `src/` or
 `tests/` of a function or method of that name passes it: by position
 (counting from after `self` or `cls`), by keyword, or through `*` or `**`.
 A default that no call overrides is a constant spelled as an option.
+
+A `@dataclass` earns its creation cost by validating in `__post_init__` or
+by defining a method that is not a property; a record that only carries
+data is a `typing.NamedTuple`.
 """
 from __future__ import annotations
 
@@ -111,6 +115,21 @@ def defaults_never_overridden() -> list[str]:
     return sorted(found)
 
 
+def _decorators(node: ast.ClassDef | ast.FunctionDef) -> set[str | None]:
+    """Names of a definition's decorators, called or not."""
+    return {getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+            for d in node.decorator_list}
+
+
+def plain_dataclasses() -> list[str]:
+    """Dataclasses of the library whose body defines no method but properties."""
+    return sorted(f"{path.stem}.{node.name}" for path in sorted(PACKAGE.glob("*.py"))
+                  for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                  if isinstance(node, ast.ClassDef) and "dataclass" in _decorators(node)
+                  and not any(isinstance(item, ast.FunctionDef)
+                              and "property" not in _decorators(item) for item in node.body))
+
+
 def test_every_public_definition_is_used():
     assert unused_public_names() == []
 
@@ -121,3 +140,7 @@ def test_every_parameter_is_read():
 
 def test_every_default_is_overridden():
     assert defaults_never_overridden() == []
+
+
+def test_every_dataclass_validates_or_has_a_method():
+    assert plain_dataclasses() == []
