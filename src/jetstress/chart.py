@@ -494,7 +494,7 @@ def face_nodes(dom: ChartDomain, face: BoundaryFace, rule: QuadratureRule) -> tu
 
 
 def integrate_face(coeff: Evaluator, face: BoundaryFace, dom: ChartDomain,
-                   rule: QuadratureRule = QuadratureRule()) -> float:
+                   rule: QuadratureRule) -> float:
     """Unsigned quadrature of a (d-1)-form coefficient over one face, against
     the interior product of the face axis with dX."""
     return _weighted_sum(coeff, face_nodes(dom, face, rule))
@@ -534,7 +534,7 @@ def _uniform_grid(dom: ChartDomain, samples: int) -> np.ndarray:
     return _lattice(_grid_axes(dom, samples))
 
 
-def uniform_grid(dom: ChartDomain, samples: int = 17) -> np.ndarray:
+def uniform_grid(dom: ChartDomain, samples: int) -> np.ndarray:
     """Uniform probe lattice, `samples` points per axis; periodic axes drop
     the duplicate endpoint.  The array is shared and read-only."""
     return _node_set(_uniform_grid, dom, samples)
@@ -546,7 +546,7 @@ def _face_grid(dom: ChartDomain, face: BoundaryFace, samples: int) -> np.ndarray
     return _lattice(axes)
 
 
-def face_grid(dom: ChartDomain, face: BoundaryFace, samples: int = 17) -> np.ndarray:
+def face_grid(dom: ChartDomain, face: BoundaryFace, samples: int) -> np.ndarray:
     """Uniform probe lattice on one boundary face: the volume lattice's axes
     with the face axis pinned.  The array is shared and read-only."""
     return _node_set(_face_grid, dom, face, samples)

@@ -1,8 +1,9 @@
 """Command-line runner: load a scenario config, run it, emit a report.
 
 Config files are flat `key = value` text with `#` comments; CLI flags
-override file values.  Exit codes: 0 all checks pass, 1 a check failed,
-2 config error, unwritable --out or out of memory, 3 internal error.
+override file values, each key once.  Exit codes: 0 all checks pass, 1 a
+check failed, 2 config error, unwritable --out or out of memory, 3 internal
+error.
 
 JSON reports use a stable schema (keys: scenario, config, checks[], pass);
 floats are written as their shortest round-trip repr, so parsing reproduces
@@ -98,7 +99,7 @@ def report_to_dict(report: Report) -> dict[str, Any]:
     }
 
 
-def emit_report(report: Report, fmt: str = "json") -> str:
+def emit_report(report: Report, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report_to_dict(report), allow_nan=False) + "\n"
     if fmt == "text":
@@ -117,9 +118,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jetstress",
         description="Run seeded numerical verification scenarios and report residuals.")
-    parser.add_argument("--scenario", help="scenario id from the registry")
+    # a key flag may repeat here; main rejects the repeat with a message
+    parser.add_argument("--scenario", action="append", default=[], help="registry scenario id")
     parser.add_argument("--config", help="path to a key = value config file")
-    parser.add_argument("--seed", type=int, help="seed for randomized field coefficients")
+    parser.add_argument("--seed", action="append", default=[], help="seed of the field data")
     parser.add_argument("--format", choices=["json", "text"], default="json")
     parser.add_argument("--out", help="write the report here instead of stdout")
     parser.add_argument("--tolerance", action="append", default=[],
@@ -134,27 +136,22 @@ _PARSER = _build_parser()
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        values: dict[str, Any] = {}
-        if args.config:
-            values.update(load_config_file(args.config))
-        if args.scenario:
-            values["scenario"] = args.scenario
-        if args.seed is not None:
-            values["seed"] = args.seed
-        # a flag overrides a file's tolerance, but not an earlier flag
-        flagged: set[str] = set()
+        values = load_config_file(args.config) if args.config else {}
+        # (flag, key, raw value) per flag; a flag overrides the file's value of
+        # its key, but a key is set once on the command line
+        entries = [("--scenario", "scenario", raw) for raw in args.scenario]
+        entries += [("--seed", "seed", raw) for raw in args.seed]
         for spec in args.tolerance:
             if "=" not in spec:
                 raise ConfigError(f"--tolerance expects NAME=VALUE, got {spec!r}")
-            name, raw = spec.split("=", 1)
-            name = name.strip()
-            if name in flagged:
-                raise ConfigError(f"--tolerance {name} given twice")
-            flagged.add(name)
-            try:
-                values[f"tolerance.{name}"] = float(raw)
-            except ValueError as exc:
-                raise ConfigError(f"bad tolerance value {raw!r}") from exc
+            name, raw = map(str.strip, spec.split("=", 1))
+            entries.append((f"--tolerance {name}", f"tolerance.{name}", raw))
+        flagged: set[str] = set()
+        for flag, key, raw in entries:
+            if key in flagged:
+                raise ConfigError(f"{flag} given twice")
+            flagged.add(key)
+            values[key] = _parse_value(key, raw)
         cfg = build_config(values)
         if args.out:
             # a typo in the path should not cost a whole run

@@ -73,7 +73,7 @@ def random_sine_field(rng: np.random.Generator, dim: int, n_modes: int = 2,
     return sine_field(modes)
 
 
-def poly_bump_field(support: Sequence[Sequence[float]], amplitude: float = 1.0) -> ScalarField:
+def poly_bump_field(support: Sequence[Sequence[float]], amplitude: float) -> ScalarField:
     """Piecewise-polynomial compact bump ((t-a)(b-t))^6 per axis, scaled to
     `amplitude` at the center; C^5 across the support edges.
 

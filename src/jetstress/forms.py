@@ -66,7 +66,7 @@ def zero_form(degree: int, dim: int) -> PForm:
     return PForm(degree, dim, {})
 
 
-def form_sup_norm(a: PForm, dom: ChartDomain, samples: int = 9) -> float:
+def form_sup_norm(a: PForm, dom: ChartDomain, samples: int) -> float:
     return sup_norm(lambda X: [f(X) for f in a.components.values()], uniform_grid(dom, samples))
 
 
@@ -183,7 +183,7 @@ def pform_virtual_power(g: PForm, v: PForm, b: PForm | None, dom: ChartDomain,
 
 
 def maxwell_fields(A: PForm, metric: FlatMetric, dom: ChartDomain,
-                   scheme: FDScheme = FDScheme()) -> tuple[PForm, PForm]:
+                   scheme: FDScheme) -> tuple[PForm, PForm]:
     """Field strength F = dA and source J = d(*F) of a potential 1-form on a
     periodic 4-box."""
     if dom.dim != 4 or A.dim != 4 or A.degree != 1:

@@ -417,7 +417,10 @@ def run_scenario(cfg: ScenarioConfig) -> Report:
     t0 = time.perf_counter()
     for name, value, default_tol, comparator in runner(cfg):
         t1 = time.perf_counter()
-        tol = cfg.tolerances.get(name, cfg.tolerances.get("default", default_tol))
+        # `default` moves only `le` checks: a lowered `ge` bar passes on noise
+        if comparator == "le":
+            default_tol = cfg.tolerances.get("default", default_tol)
+        tol = cfg.tolerances.get(name, default_tol)
         # a non-finite value fails whatever the comparator
         ok = math.isfinite(value) and (value <= tol if comparator == "le" else value >= tol)
         checks.append(Check(name, float(value), float(tol), comparator, bool(ok), t1 - t0))

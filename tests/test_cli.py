@@ -219,6 +219,37 @@ class TestScenarioRunner:
         r = run_scenario(ScenarioConfig("stokes", tolerances={"default": 1e-300}))
         assert not r.passed
 
+    def test_default_tolerance_leaves_negative_controls_alone(self):
+        # lowering a `ge` bar would pass it on noise, raising it would fail a
+        # correct control; a `ge` check moves only when it is named
+        def tolerances(scenario, **overrides):
+            r = run_scenario(ScenarioConfig(scenario, tolerances=overrides))
+            return {c.name: c.tolerance for c in r.checks}
+
+        bar = tolerances("hyperelastic_1d_bar", default=1e-300)
+        assert bar == {"interior": 1e-300, "boundary": 1e-300, "sensitivity": 5e-3}
+        assert tolerances("maxwell_vacuum", default=1e3)["non_null_J"] == 0.1
+        named = tolerances("hyperelastic_1d_bar", default=1e-300, sensitivity=1e-2)
+        assert named["sensitivity"] == 1e-2
+
+    def test_d_differs_from_m(self):
+        # every registry default has d = m, which hides a swapped d and m or a
+        # transposed (i, a) index; these configs expose them
+        triples, pairs = [f"triple_{k:02d}" for k in range(10)], ["pair_00", "pair_01"]
+        runs = [("energy_variation", {"d": 1, "m": 2}, triples),
+                ("energy_variation", {"d": 2, "m": 1}, triples),
+                ("equilibrated_translations", {"d": 2, "m": 3},
+                 ["translation_0", "translation_1", "translation_2"]),
+                ("equilibrated_translations", {"d": 3, "m": 2}, ["translation_0", "translation_1"]),
+                ("weak_strong", {"d": 2, "m": 3, "count": 2}, ["case_00", "case_01"]),
+                ("exterior_jet_identity", {"d": 2, "m": 3, "count": 2}, pairs),
+                ("divergence_identity", {"d": 2, "m": 3, "count": 2}, pairs),
+                ("null_stress", {"d": 2, "m": 3, "count": 1},
+                 ["power_00", "magnitude_00", "divergence_00"])]
+        for scenario, values, names in runs:
+            r = run_scenario(ScenarioConfig(scenario, **values))
+            assert [c.name for c in r.checks] == names and r.passed, (scenario, values)
+
     def test_echo_is_the_quadrature_that_ran(self):
         r = run_scenario(ScenarioConfig("null_stress", d=1, m=1, count=1, samples=3))
         assert (r.config["q"], r.config["panels"]) == (8, 4)
@@ -478,7 +509,7 @@ class TestMain:
 
     @pytest.mark.parametrize("line, flags, message", [
         ("d = two", [], "bad value for d: 'two'"),
-        ("", ["--tolerance", "stokes_00=abc"], "bad tolerance value 'abc'"),
+        ("", ["--tolerance", "stokes_00=abc"], "bad value for tolerance.stokes_00: 'abc'"),
         ("fd_order = 3", [], "fd_order must be 2 or 4"),
         ("q = 0", [], "q must be at least 1, got 0"),
     ], ids=repr)
@@ -513,6 +544,18 @@ class TestMain:
         assert main(["--config", str(path)] + argv) == EXIT_PASS
         checks = json.loads(capsys.readouterr().out)["checks"]
         assert [c["tolerance"] for c in checks if c["name"] == "interior"] == [1e-3]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--scenario", "stokes", "--seed", "1", "--seed", "2"], "--seed given twice"),
+        (["--scenario", "stokes", "--scenario", "hyperelastic_1d_bar"], "--scenario given twice"),
+    ], ids=repr)
+    def test_duplicated_flag_is_config_error(self, argv, message, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(cli, "run_scenario", ran.append)
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"config error: {message}" in captured.err
+        assert ran == []
 
     def test_tolerance_matching_no_check_is_config_error(self, capsys):
         argv = ["--scenario", "hyperelastic_1d_bar"]

@@ -13,7 +13,9 @@ accept `(X, x)` to fit the field protocol.
 A parameter with a default counts as overridden when some call in `src/` or
 `tests/` of a function or method of that name passes it: by position
 (counting from after `self` or `cls`), by keyword, or through `*` or `**`.
-A default that no call overrides is a constant spelled as an option.
+A default that no call overrides is a constant spelled as an option, and
+one that every call overrides is never used: each default needs a call that
+passes it and a call that omits it.
 
 A `@dataclass` earns its creation cost by validating in `__post_init__` or
 by defining a method that is not a property; a record that only carries
@@ -91,16 +93,16 @@ def _passed(call: ast.Call) -> tuple[float, set[str]]:
     return positions, {"*"} if None in names else names
 
 
-def defaults_never_overridden() -> list[str]:
-    """Parameters with a default that no call of a function or method of
-    that name passes."""
+def _default_passes() -> Iterator[tuple[str, list[bool]]]:
+    """Each defaulted parameter, as "module.function(parameter)", with
+    whether each call in `src/` or `tests/` of a function or method of that
+    name passes it."""
     calls: dict[str, list[tuple[float, set[str]]]] = {}
     for path in _sources():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
                 calls.setdefault(name, []).append(_passed(node))
-    found = []
     for module, node in _library_functions():
         a = node.args
         positional = [p.arg for p in (*a.posonlyargs, *a.args)]
@@ -109,10 +111,21 @@ def defaults_never_overridden() -> list[str]:
         first = len(positional) - len(a.defaults)
         defaulted = [(p, i) for i, p in enumerate(positional) if i >= first]
         defaulted += [(p.arg, math.inf) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
-        found += [f"{module}.{node.name}({p})" for p, i in defaulted
-                  if not any(i < n or p in names or "*" in names
-                             for n, names in calls.get(node.name, []))]
-    return sorted(found)
+        for p, i in defaulted:
+            yield f"{module}.{node.name}({p})", [i < n or p in names or "*" in names
+                                                 for n, names in calls.get(node.name, [])]
+
+
+def defaults_never_overridden() -> list[str]:
+    """Parameters with a default that no call of a function or method of
+    that name passes."""
+    return sorted(param for param, passes in _default_passes() if not any(passes))
+
+
+def defaults_never_omitted() -> list[str]:
+    """Parameters with a default that every call of a function or method of
+    that name passes: the default is never used."""
+    return sorted(param for param, passes in _default_passes() if passes and all(passes))
 
 
 def _decorators(node: ast.ClassDef | ast.FunctionDef) -> set[str | None]:
@@ -140,6 +153,10 @@ def test_every_parameter_is_read():
 
 def test_every_default_is_overridden():
     assert defaults_never_overridden() == []
+
+
+def test_every_default_is_relied_on():
+    assert defaults_never_omitted() == []
 
 
 def test_every_dataclass_validates_or_has_a_method():

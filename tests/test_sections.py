@@ -11,6 +11,7 @@ from jetstress.sections import (
     JetPoint,
     JetSection,
     VelocityField,
+    VelocityJet,
     holonomy_residual,
     iso_K,
     iso_K_inv,
@@ -89,6 +90,43 @@ class TestProlongation:
         eta = jet_prolong_velocity(v, UNIT2)
         xi = JetSection(lambda X: eta(X), 1)
         assert holonomy_residual(xi, UNIT2, samples=5) <= 1e-9
+
+
+class TestVelocityJetIsAJetSection:
+    def test_binds_the_jet_sections_call_on_its_own_class(self):
+        assert issubclass(VelocityJet, JetSection)
+        assert vars(VelocityJet)["__call__"] is vars(JetSection)["__call__"]
+
+    def test_a_per_class_counter_counts_each_jet_once(self, monkeypatch):
+        # wrap vars(cls)["__call__"] of each class with one counter, as the
+        # benchmark's tracer does: each jet is counted once, under its own class
+        counted = []
+
+        def counting(cls):
+            call = vars(cls)["__call__"]
+
+            def counted_call(jet, X):
+                counted.append(cls.__name__)
+                return call(jet, X)
+
+            return counted_call
+
+        for cls in (JetSection, VelocityJet):
+            monkeypatch.setattr(cls, "__call__", counting(cls))
+        rng = np.random.default_rng(2)
+        section = Configuration((fields.random_polynomial(rng, 2, 3),))
+        jet_prolong_velocity(section, UNIT2)(uniform_grid(UNIT2, 3))
+        jet_prolong_config(section, UNIT2)(uniform_grid(UNIT2, 3))
+        assert counted == ["VelocityJet", "JetSection"]
+
+    def test_blocks_are_bitwise_those_of_a_jet_section(self):
+        rng = np.random.default_rng(4)
+        v = VelocityField((fields.random_polynomial(rng, 2, 3),
+                           fields.random_polynomial(rng, 2, 3)))
+        evaluator = jet_prolong_velocity(v, UNIT2).evaluator
+        X = uniform_grid(UNIT2, 5)
+        for velocity, config in zip(VelocityJet(evaluator, 2)(X), JetSection(evaluator, 2)(X)):
+            assert velocity.shape == config.shape and velocity.tobytes() == config.tobytes()
 
 
 class TestIsoK:
