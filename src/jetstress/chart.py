@@ -9,7 +9,8 @@ shape (..., d) and returning the values of shape (...): one call evaluates a
 whole node set or probe lattice, and a single point is the case ... = ().
 The jet-coordinate densities of `material` follow the same contract.  A
 coefficient handed to the quadrature may also carry leading axes in front of
-the node axis, (..., N), and then yields one integral per leading index.
+the node axis, (..., N), and then yields one integral per leading index,
+each one numpy pairwise sum, so no value depends on the BLAS thread count.
 This module is the one place that walks a point set (`sup_norm` over a probe
 lattice, the quadrature sum), builds a first jet (`jet`) or sums a divergence
 (`fd_divergence`); the identity modules compose these.  A finite difference
@@ -404,13 +405,10 @@ class QuadratureRule:
 
     def axis_nodes(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
         ref_x, ref_w = _leggauss(self.order)
-        xs, ws = [], []
         width = (hi - lo) / self.panels
-        for k in range(self.panels):
-            a = lo + k * width
-            xs.append(a + (ref_x + 1.0) * 0.5 * width)
-            ws.append(ref_w * 0.5 * width)
-        return np.concatenate(xs), np.concatenate(ws)
+        starts = lo + np.arange(self.panels)[:, None] * width
+        return ((starts + (ref_x + 1.0) * 0.5 * width).ravel(),
+                np.tile(ref_w * 0.5 * width, self.panels))
 
 
 def _lattice(axes: Sequence[np.ndarray]) -> np.ndarray:
@@ -464,16 +462,15 @@ def volume_nodes(dom: ChartDomain, rule: QuadratureRule) -> tuple[np.ndarray, np
 def _weighted_sum(coeff: Evaluator, nodes: tuple[np.ndarray, np.ndarray]):
     """Quadrature sum of coeff over (points, weights): a float for values of
     shape (N,) or a constant, an array of shape (...) for values (..., N),
-    one integral per leading index.  Each integral is the same dot product
-    as the one of a lone (N,) row, so it is bitwise equal to it: the rows are
-    made contiguous first, because a dot product over strided values may sum
-    them in another order."""
+    one integral per leading index.  numpy's pairwise summation adds each
+    row in one thread, in an order fixed by N alone, so an integral does not
+    depend on the BLAS thread count and is bitwise equal to the one of a
+    lone (N,) row.  The product is laid out row-major (order="C") because a
+    reduction over values laid out point-major, as the stacked jets of
+    `virtual_power_of_stress` are, would add them sequentially instead."""
     pts, wts = nodes
-    vals = np.asarray(coeff(pts), dtype=float)
-    rows = np.ascontiguousarray(
-        np.broadcast_to(vals, vals.shape[:-1] + wts.shape).reshape(-1, len(wts)))
-    sums = [np.dot(wts, row) for row in rows]
-    return float(sums[0]) if vals.ndim < 2 else np.array(sums).reshape(vals.shape[:-1])
+    sums = np.add.reduce(np.multiply(coeff(pts), wts, order="C"), axis=-1)
+    return float(sums) if sums.ndim == 0 else sums
 
 
 def integrate_volume(coeff: Evaluator, dom: ChartDomain, rule: QuadratureRule = QuadratureRule()):

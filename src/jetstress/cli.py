@@ -174,8 +174,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except MemoryError:
-        print("config error: the config is too large for this machine's memory", file=sys.stderr)
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""  # numpy's text names the array and its size
+        print(f"config error: the config is too large for this machine's memory{detail}",
+              file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - runner boundary
         print(f"internal error: {exc}", file=sys.stderr)

@@ -254,7 +254,8 @@ class TestIntegration:
 
     def test_strided_rows_integrate_bitwise_like_contiguous_ones(self):
         # values laid out point-major, as a pairing of jets stacked on a
-        # leading axis returns them; a strided dot product sums in another order
+        # leading axis returns them; a reduction over strided rows sums them in
+        # another order
         rng = np.random.default_rng(10)
         fs = [fields.random_polynomial(rng, 2, 3) for _ in range(10)]
         rule = QuadratureRule(8, panels=4)

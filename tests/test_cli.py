@@ -507,6 +507,19 @@ class TestMain:
         assert captured.out == "" and captured.err.startswith("config error: ")
         assert "too large for this machine" in captured.err
 
+    def test_out_of_memory_message_names_the_array(self, monkeypatch, capsys):
+        text = ("Unable to allocate 116. TiB for an array with shape "
+                "(4, 1000000000000, 4) and data type float64")
+
+        def too_large(cfg):
+            raise MemoryError(text)
+
+        monkeypatch.setattr(cli, "run_scenario", too_large)
+        assert main(["--scenario", "maxwell_vacuum"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: the config is too large for this machine's memory: {text}\n"
+        assert "shape (4, 1000000000000, 4)" in err
+
     @pytest.mark.parametrize("line, flags, message", [
         ("d = two", [], "bad value for d: 'two'"),
         ("", ["--tolerance", "stokes_00=abc"], "bad value for tolerance.stokes_00: 'abc'"),
