@@ -6,7 +6,7 @@ virtual power integrates against the plain (unsigned) face measure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -52,14 +52,21 @@ class ForceFunctional:
         return tuple(constant_field(0.0) for _ in range(self.fiber_dim))
 
 
-def virtual_power_of_force(f: ForceFunctional, v: VelocityField, dom: ChartDomain,
-                           rule: QuadratureRule = QuadratureRule()) -> float:
-    """f(v) = volume integral of b_i v^i plus the face integrals of t_i v^i."""
-    if f.fiber_dim != v.fiber_dim:
-        raise ValueError(f"force has {f.fiber_dim} components, the velocity {v.fiber_dim}")
+def virtual_power_of_force(f: ForceFunctional, vs: Sequence[VelocityField], dom: ChartDomain,
+                           rule: QuadratureRule = QuadratureRule()) -> np.ndarray:
+    """f(v) = volume integral of b_i v^i plus the face integrals of t_i v^i for
+    each v of vs, shape (len(vs),); an empty vs raises.  Each block of f is
+    evaluated once per node set, against the velocities stacked on a leading
+    axis, and each row is bitwise the power on the lone velocity."""
+    if not vs:
+        raise ValueError("no velocity fields")
+    for v in vs:
+        if f.fiber_dim != v.fiber_dim:
+            raise ValueError(f"force has {f.fiber_dim} components, the velocity {v.fiber_dim}")
 
     def power(t: tuple[ScalarField, ...]) -> Evaluator:
-        return lambda X: np.sum(np.stack([ti(X) for ti in t], axis=-1) * v.value(X), axis=-1)
+        return lambda X: np.sum(np.stack([ti(X) for ti in t], axis=-1)
+                                * np.stack([v.value(X) for v in vs]), axis=-1)
 
     total = integrate_volume(power(f.body.components), dom, rule)
     for face in dom.faces():
@@ -93,6 +100,7 @@ def rotation_generator(kappa: Configuration, i: int, j: int) -> dict[str, Veloci
 def equilibrated_force_residual(f: ForceFunctional, gens: Mapping[str, VelocityField],
                                 dom: ChartDomain,
                                 rule: QuadratureRule = QuadratureRule()) -> dict[str, float]:
-    """|f(v_gamma)| per generator label; all zero means the force is
-    equilibrated with respect to the supplied symmetry generators."""
-    return {label: abs(virtual_power_of_force(f, v, dom, rule)) for label, v in gens.items()}
+    """|f(v_gamma)| per label, from one evaluation of f for all generators (an
+    empty mapping raises); all zero means f is equilibrated under them."""
+    powers = virtual_power_of_force(f, tuple(gens.values()), dom, rule)
+    return dict(zip(gens, np.abs(powers).tolist()))

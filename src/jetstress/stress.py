@@ -153,9 +153,3 @@ def cauchy_face_components(tau: TractionStressDensity, face: BoundaryFace,
         raise ValueError(f"axis {face.axis} is periodic; no boundary face there")
     return tuple(scaled(tau.tau[i][face.axis], face.induced_sign)
                  for i in range(tau.fiber_dim))
-
-
-def cauchy_all_faces(tau: TractionStressDensity,
-                     dom: ChartDomain) -> dict[BoundaryFace, tuple[ScalarField, ...]]:
-    """Cauchy mapping on every boundary face of the chart."""
-    return {face: cauchy_face_components(tau, face, dom) for face in dom.faces()}

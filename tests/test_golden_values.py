@@ -1,5 +1,6 @@
-"""Every check value of every REGISTRY row, at a small config and seed 0, is
-bitwise equal to the value recorded in `golden_values.json`.
+"""Every check value of every REGISTRY row, at a small config and seed 0 and
+at its default config and seeds 0 and 3, is bitwise equal to the value
+recorded in `golden_values.json`.
 
 Four scenarios are pinned at d = 2, m = 3 as well, since every REGISTRY
 default has d = m and a convention error that keeps shapes consistent (a sign,
@@ -32,11 +33,14 @@ import pytest
 from jetstress.scenarios import REGISTRY, ScenarioConfig, run_scenario
 
 FIXTURE = Path(__file__).with_name("golden_values.json")
-# small enough that the whole registry runs in a fraction of a second
+# small enough that the whole registry runs in a fraction of a second; its
+# defaults at two seeds add about 0.6 s
 CAPS = {"count": 2, "samples": 5}
 SAMPLES = {"maxwell_vacuum": 4}
 # pinned again at d = 2, m = 3
 D_NOT_M = ("exterior_jet_identity", "divergence_identity", "weak_strong", "null_stress")
+# every REGISTRY default is pinned at these seeds too
+DEFAULT_SEEDS = (0, 3)
 
 
 def small_config(scenario: str) -> ScenarioConfig:
@@ -50,6 +54,8 @@ def small_config(scenario: str) -> ScenarioConfig:
 def golden_configs() -> dict[str, ScenarioConfig]:
     configs = {sc: small_config(sc) for sc in REGISTRY}
     configs.update({f"{sc} d=2 m=3": replace(small_config(sc), d=2, m=3) for sc in D_NOT_M})
+    configs.update({f"{sc} default seed={seed}": ScenarioConfig(sc, seed=seed)
+                    for sc in REGISTRY for seed in DEFAULT_SEEDS})
     return configs
 
 
