@@ -15,9 +15,8 @@ This module is the one place that walks a point set (`sup_norm` over a probe
 lattice, the quadrature sum), builds a first jet (`jet`) or sums a divergence
 (`fd_divergence`); the identity modules compose these.  A finite difference
 calls its field once, on the stencil rows of every point stacked into one
-point set, so a nested derivative such as d(*dA) also costs one call of the
-innermost field; only a block of more than _FD_ROWS rows is split into slices
-of that many.  `jet` calls each of its fields once too, on the points followed
+point set; only a block of more than _FD_ROWS rows is split into slices of
+that many.  `jet` calls each of its fields once too, on the points followed
 by every axis's stencil rows, and returns the values and the (m, d) gradient
 block.  The stencil weights are exact rationals rounded once to float
 (`_fd_weights`), so a centred stencil's middle weight is exactly 0, and an
@@ -27,7 +26,10 @@ axis where some point lies within stencil reach of a face.  Every periodic
 axis is of the first kind, and so is every boundary axis of a Gauss node set.
 `partial_derivative` and `jet` share one code path (`_stencil` builds the
 block and its weight table, `_evaluate` calls a field on it and `_weigh` sums
-the weighted values).
+the weighted values).  The derivatives of a `forms` component, nested ones
+such as d(*dA) too, probe along an axis path: `_path_level` adds one level's
+probe coordinates and weights, and `_path_values` calls a field on the
+path's block.
 
 Node sets are shared: `volume_nodes`, `face_nodes`, `uniform_grid` and
 `face_grid` build each set once per argument tuple (for the last
@@ -35,8 +37,9 @@ _NODE_SETS_KEPT of them) and hand every caller the same read-only arrays, so a
 field must not write into its points.  A node set's stencil blocks and weight
 tables belong to it (`_kept`) and are freed with its points, so one
 `_node_set.cache_clear()` frees every stencil that no caller can reach.  A
-block of more than _STENCIL_ROWS_KEPT rows, the blocks of nested derivatives
-and the stencils of other point sets are built anew on every call.
+block of more than _STENCIL_ROWS_KEPT rows and the stencils of other point
+sets are built anew on every call, and so is a path block, from the kept
+single-axis stencils of its node set; only those are kept.
 """
 from __future__ import annotations
 
@@ -226,7 +229,8 @@ def _probes(x: np.ndarray, offsets: np.ndarray, h: float, lo: float, hi: float,
 # most stencil rows handed to f in one call; without a limit the peak memory
 # of a nested derivative grows with up to (order + 1)**2 times the lattice,
 # and at this one the default scenarios run no slower than without
-# (BENCH_7.json)
+# (BENCH_7.json).  A nested form derivative walks _FD_ROWS // (order + 1)
+# points at a time for the same reason.
 _FD_ROWS = 2**14
 
 
@@ -256,14 +260,26 @@ def _new_stencil(P: np.ndarray, axis: int, dom: ChartDomain,
     d = dom.dim
     if not 0 <= axis < d:
         raise ValueError(f"axis {axis} out of range for dim {d}")
-    h = scheme.step
     lo, hi = dom.bounds[axis]
-    if h * scheme.order >= hi - lo:
+    if scheme.step * scheme.order >= hi - lo:
         raise ValueError("FD step too large for axis extent")
-    r = scheme.order // 2
+    # contiguous, so that the (k, N) probe arithmetic runs on a unit stride
+    probes, table = _axis_stencil(np.ascontiguousarray(P[:, axis]), axis, dom, scheme)
+    block = np.empty((len(probes),) + P.shape)
+    block[:] = P
+    block[..., axis] = probes
+    flat = block.reshape(-1, d)
+    flat.flags.writeable = False
+    return flat, table
+
+
+def _axis_stencil(x: np.ndarray, axis: int, dom: ChartDomain,
+                  scheme: FDScheme) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, n) probe coordinates along `axis` of `_new_stencil` at the
+    coordinates x (n,) on that axis, and its weight table."""
+    h, r = scheme.step, scheme.order // 2
+    lo, hi = dom.bounds[axis]
     weights = _shift_weights(r)
-    # contiguous, so that the (k, N) probe arithmetic below runs on a unit stride
-    x = np.ascontiguousarray(P[:, axis])
     periodic = dom.is_periodic(axis)
     shifts = None if periodic else _stencil_shifts(x, lo, hi, h, r)
     if shifts is None or not shifts.any():
@@ -274,12 +290,7 @@ def _new_stencil(P: np.ndarray, axis: int, dom: ChartDomain,
         # np.take returns the table row-major, like the values it weighs;
         # [:, idx] would return it column-major, which multiplies them more slowly
         table = np.take(weights, shifts + r, axis=1)
-    block = np.empty((len(offsets),) + P.shape)
-    block[:] = P
-    block[..., axis] = _probes(x, offsets, h, lo, hi, periodic)
-    flat = block.reshape(-1, d)
-    flat.flags.writeable = False
-    return flat, table
+    return _probes(x, offsets, h, lo, hi, periodic), table
 
 
 # id(P) -> {(axis, dom, scheme): (block, table)} for the point array P of
@@ -316,10 +327,50 @@ def _evaluate(f: Evaluator, block: np.ndarray, out: np.ndarray) -> None:
 
 def _weigh(vals: np.ndarray, table: np.ndarray, h: float) -> np.ndarray:
     """(..., N) derivative values from the (..., k, N) stencil values, which
-    are weighed in place by the (k, N) or (k, 1) table, summed in offset
-    order and divided by h."""
-    vals *= table
-    return np.add.reduce(vals, axis=-2, initial=0.0) / h
+    are weighed by the (k, N) or (k, 1) table, or one that broadcasts to
+    them, in place unless they are read-only, summed in offset order and
+    divided by h."""
+    vals = np.multiply(vals, table, out=vals if vals.flags.writeable else None)
+    out = np.add.reduce(vals, axis=-2, initial=0.0)
+    out /= h
+    return out
+
+
+def _path_level(P: np.ndarray, cols: dict, axis: int, dom: ChartDomain,
+                scheme: FDScheme) -> tuple[dict, np.ndarray]:
+    """One level deeper, along `axis`, in the probe block of an axis path at
+    the points P (n, d).  `cols` maps each axis of the path so far to its
+    probe coordinates, which broadcast to (k_0, ..., k_m-1, n); returns the
+    same for the deeper path and the weight table of its new level.  An
+    axis's first level reads P's stencil, kept for a node set; a repeated one
+    probes the coordinates of its last level, as a stencil of the outer block
+    would."""
+    x = cols.get(axis, P[:, axis])
+    if axis in cols:
+        probes, table = _axis_stencil(x.ravel(), axis, dom, scheme)
+    else:
+        block, table = _stencil(P, axis, dom, scheme)
+        probes = block[:, axis]
+    # (k, x.size) -> (x's levels, k, n); a (k, 1) table broadcasts as it is
+    lift = (*range(1, x.ndim), 0, x.ndim)
+    deeper = {b: c[..., None, :] for b, c in cols.items()}
+    deeper[axis] = probes.reshape((-1,) + x.shape).transpose(lift)
+    return deeper, table if table.shape[1] == 1 else table.reshape((-1,) + x.shape).transpose(lift)
+
+
+def _path_values(f: Evaluator, P: np.ndarray, cols: dict) -> np.ndarray:
+    """f's values (k_0, ..., k_m-1, n), read-only, on the probe block of an
+    axis path at the points P (n, d) whose coordinates are `cols`."""
+    shape = np.broadcast_shapes(*(c.shape for c in cols.values()))
+    block = np.empty(shape + P.shape[1:])
+    block[:] = P
+    for a, col in cols.items():
+        block[..., a] = col
+    block.flags.writeable = False
+    vals = np.empty(shape)
+    _evaluate(f, block.reshape(-1, P.shape[1]), vals.reshape(-1))
+    vals.flags.writeable = False
+    return vals
 
 
 def partial_derivative(
@@ -336,12 +387,10 @@ def partial_derivative(
     order within stencil reach of a boundary face.  Every stencil row of every
     point goes to f in one call, on an ((order + 1) * N, d) block, or an
     (order * N, d) block on an axis where no point shifts its stencil (every
-    periodic axis), which has no row for the zero-weight centre offset; so a
-    nested derivative hands its inner derivative all of its rows at once.
+    periodic axis), which has no row for the zero-weight centre offset.
     Each row's value is then weighed by its entry of the stencil's weight
     table.  A block of more than _FD_ROWS rows goes to f in consecutive
-    slices of that many rows, which bounds the memory of a nested derivative
-    on a large lattice.
+    slices of that many rows.
     An (N, d) p is used as it is, not reshaped, so that a node set finds its
     kept stencils.
     """

@@ -6,7 +6,7 @@ so the randomization is always through an explicit generator.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,10 +21,11 @@ def constant_field(c: float) -> ScalarField:
 def polynomial_field(coeffs) -> ScalarField:
     """Multivariate polynomial; coeffs[i0, ..., i_{d-1}] multiplies
     X0^i0 * ... * X_{d-1}^i_{d-1}.  Horner along axis 0 for every point at
-    once, then along each further axis, each step in place on one buffer
-    (v *= x; v += c).  These are the products and sums of numpy's polyval,
-    so at finite points the values are bitwise equal to it, except that a
-    leading -0.0 coefficient is not turned into +0.0 by polyval's x*0."""
+    once, then along each further axis: the buffer starts as c[-1] * x, or
+    c[0] * 1 on an axis of degree 0, and every further step runs in place on
+    it (v += c; v *= x).  These are the products and sums of numpy's
+    polyval, so at finite points the values are bitwise equal to it, except
+    that a leading -0.0 coefficient is not turned into +0.0 by polyval's x*0."""
     coeffs = np.asarray(coeffs, dtype=float)
 
     def ev(X: np.ndarray) -> np.ndarray:
@@ -32,11 +33,11 @@ def polynomial_field(coeffs) -> ScalarField:
         for k in range(X.shape[-1]):
             # a contiguous copy of the coordinate steps faster than the strided column
             x, c = X[..., k].copy(), v
-            v = np.empty(coeffs.shape[k + 1:] + X.shape[:-1])
-            v[...] = c[-1]
-            for ci in c[-2::-1]:
-                v *= x
-                v += ci
+            v = np.multiply(c[-1], x if len(c) > 1 else np.ones_like(x))
+            for j in range(len(c) - 2, -1, -1):
+                v += c[j]
+                if j:
+                    v *= x
         return v
 
     return ScalarField(ev)
@@ -105,7 +106,17 @@ def poly_bump_field(support: Sequence[Sequence[float]], amplitude: float) -> Sca
     return ScalarField(ev)
 
 
+class Scaled(NamedTuple):
+    """The function of a `scaled` field, c * f(X), which keeps c and f, so
+    that a walk over a form component can see through it."""
+
+    c: float
+    f: ScalarField
+
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        return self.c * self.f(X)
+
+
 def scaled(f: ScalarField, c: float) -> ScalarField:
-    c = float(c)
-    return ScalarField(lambda X: c * f(X))
+    return ScalarField(Scaled(float(c), f))
 

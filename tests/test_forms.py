@@ -1,11 +1,19 @@
+import gc
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from jetstress import fields
-from jetstress.chart import ChartDomain, FDScheme, QuadratureRule, ScalarField, uniform_grid
+from jetstress import chart, fields, forms, scenarios
+from jetstress.chart import (
+    ChartDomain,
+    FDScheme,
+    QuadratureRule,
+    ScalarField,
+    partial_derivative,
+    uniform_grid,
+)
 from jetstress.forms import (
     FlatMetric,
     PForm,
@@ -152,6 +160,92 @@ class TestExteriorDerivative:
             assert got == pytest.approx(want, abs=1e-6)
 
 
+class TestSharedMixedPartials:
+    """d_a d_b f as a derivative component computes, bitwise, what the nested
+    calls partial_derivative(lambda Y: partial_derivative(f, b, Y), a, X)
+    compute, and d_a d_b and d_b d_a of one component call f once."""
+
+    PERIODIC4 = ChartDomain.unit(4, periodic=range(4))
+    SCHEME = FDScheme()
+
+    @staticmethod
+    def counted(f):
+        rows = []
+
+        def ev(X):
+            rows.append(len(X))
+            return f(X)
+
+        return ScalarField(ev), rows
+
+    def second(self, f, a, b, dom):
+        """d_a d_b f as the one term of a component, and that term's sign."""
+        d = dom.dim
+        df = exterior_derivative(PForm(0, d, {(): f}), dom, self.SCHEME).component((b,))
+        # a == b needs a form without the index a, which leaves only its complement
+        I = tuple(i for i in range(d) if i != a) if a == b else (b,)
+        outer = exterior_derivative(PForm(len(I), d, {I: df}), dom, self.SCHEME)
+        return outer.component(tuple(sorted(I + (a,)))), shuffle_sign((a,), I)
+
+    def nested(self, f, a, b, dom, X):
+        s = self.SCHEME
+        return partial_derivative(lambda Y: partial_derivative(f, b, Y, dom, s), a, X, dom, s)
+
+    @pytest.mark.parametrize("dom, samples", [(PERIODIC4, 3), (UNIT3, 5)])
+    @pytest.mark.parametrize("fresh, rows", [(False, None), (True, None), (False, 100)])
+    def test_each_path_equals_the_nested_calls(self, dom, samples, fresh, rows, monkeypatch):
+        # on the unit box, the lattice of 5 has points on the faces, where
+        # the stencils shift.  The lattice reads its kept stencils, a fresh
+        # copy builds its own, and with 100 rows a walk takes 20 points at a
+        # time, each slice with stencils of its own.
+        if rows:
+            monkeypatch.setattr(forms, "_FD_ROWS", rows)
+        f = fields.random_sine_field(np.random.default_rng(40), dom.dim, n_modes=2)
+        X = uniform_grid(dom, samples)
+        X = X.copy() if fresh else X
+        for a, b in itertools.product(range(dom.dim), repeat=2):
+            comp, sign = self.second(f, a, b, dom)
+            assert np.array_equal(comp(X), 0 + sign * self.nested(f, a, b, dom, X))
+
+    def test_a_first_derivative_is_not_sliced(self, monkeypatch):
+        # a walk of 20 points at a time would build stencils for each slice
+        monkeypatch.setattr(forms, "_FD_ROWS", 100)
+        f = fields.random_sine_field(np.random.default_rng(43), 3)
+        df = exterior_derivative(PForm(0, 3, {(): f}), UNIT3, self.SCHEME)
+        grid = uniform_grid(UNIT3, 5)
+        df.component((1,))(grid)
+        built = []
+        new_stencil = chart._new_stencil
+        monkeypatch.setattr(chart, "_new_stencil",
+                            lambda *args: built.append(args[1]) or new_stencil(*args))
+        got = df.component((1,))(grid)
+        assert built == []
+        assert np.array_equal(got, 0 + partial_derivative(f, 1, grid, UNIT3, self.SCHEME))
+
+    def test_a_derivative_on_another_scheme_is_a_leaf(self):
+        inner, outer = FDScheme(order=2), self.SCHEME
+        f = fields.random_sine_field(np.random.default_rng(42), 3)
+        df = exterior_derivative(PForm(0, 3, {(): f}), UNIT3, inner).component((1,))
+        got = exterior_derivative(PForm(1, 3, {(1,): df}), UNIT3, outer).component((0, 1))
+        X = uniform_grid(UNIT3, 5)
+        want = partial_derivative(lambda Y: partial_derivative(f, 1, Y, UNIT3, inner),
+                                  0, X, UNIT3, outer)
+        assert np.array_equal(got(X), 0 + want)
+
+    @pytest.mark.parametrize("dom, samples", [(PERIODIC4, 3), (UNIT3, 5)])
+    def test_both_orders_share_one_leaf_call(self, dom, samples):
+        f, rows = self.counted(fields.random_sine_field(np.random.default_rng(41), dom.dim))
+        ddf = exterior_derivative(exterior_derivative(PForm(0, dom.dim, {(): f}), dom), dom)
+        X = uniform_grid(dom, samples)
+        for a, b in itertools.combinations(range(dom.dim), 2):
+            rows.clear()
+            got = ddf.component((a, b))(X)
+            assert len(rows) == 1
+            # the terms in the order exterior_derivative lists them
+            want = 0 - self.nested(f, b, a, dom, X) + self.nested(f, a, b, dom, X)
+            assert np.array_equal(got, want)
+
+
 class TestHodgeStar:
     def test_euclidean_plane(self):
         dx0 = PForm(1, 2, {(0,): fields.constant_field(1.0)})
@@ -266,6 +360,46 @@ class TestMaxwell:
         A = self.plane_wave([1, 0, 0, 0])
         _, J = maxwell_vacuum_check(A, minkowski(), self.DOM, samples=3)
         assert J >= 0.1
+
+    def test_leaf_work_of_the_scenario(self, monkeypatch):
+        # every leaf of the scenario's forms counts its rows: the plane-wave
+        # potentials and the sine components of B.  Nested closures called
+        # them 42 times on 4096 rows each, 172032 rows; one call per leaf and
+        # unordered axis pair makes that 27 calls, 110592 rows.
+        rows = []
+
+        class Counted(ScalarField):
+            def __call__(self, X):
+                rows.append(len(X))
+                return super().__call__(X)
+
+        monkeypatch.setattr(scenarios, "ScalarField", Counted)
+        monkeypatch.setattr(fields, "ScalarField", Counted)
+        # the points of every stencil built: the lattice's, never an outer block
+        built = []
+        new_stencil = chart._new_stencil
+        monkeypatch.setattr(chart, "_new_stencil",
+                            lambda P, *args: built.append(len(P)) or new_stencil(P, *args))
+        report = scenarios.run_scenario(scenarios.ScenarioConfig("maxwell_vacuum", samples=4))
+        assert report.passed
+        assert rows == [4096] * 27
+        assert set(built) <= {len(uniform_grid(self.DOM, 4))}
+
+    def test_a_run_keeps_no_nested_block(self):
+        # only single-axis stencils of the probe lattice stay, freed with it
+        chart._node_set.cache_clear()
+        gc.collect()
+        before = set(chart._kept)
+        scenarios.run_scenario(scenarios.ScenarioConfig("maxwell_vacuum", samples=4))
+        grid = uniform_grid(self.DOM, 4)
+        assert set(chart._kept) - before == {id(grid)}
+        kept = chart._kept[id(grid)]
+        assert sorted(axis for axis, _, _ in kept) == [0, 1, 2, 3]
+        assert all(block.shape == (4 * len(grid), 4) for block, _ in kept.values())
+        key = id(grid)
+        del grid, kept
+        chart._node_set.cache_clear()
+        assert key not in chart._kept
 
     def test_requires_periodic_4d(self):
         with pytest.raises(ValueError):
