@@ -12,24 +12,27 @@ coefficient handed to the quadrature may also carry leading axes in front of
 the node axis, (..., N), and then yields one integral per leading index,
 each one numpy pairwise sum, so no value depends on the BLAS thread count.
 This module is the one place that walks a point set (`sup_norm` over a probe
-lattice, the quadrature sum), builds a first jet (`jet`) or sums a divergence
-(`fd_divergence`); the identity modules compose these.  A finite difference
-calls its field once, on the stencil rows of every point stacked into one
-point set; only a block of more than _FD_ROWS rows is split into slices of
-that many.  `jet` calls each of its fields once too, on the points followed
-by every axis's stencil rows, and returns the values and the (m, d) gradient
-block.  The stencil weights are exact rationals rounded once to float
-(`_fd_weights`), so a centred stencil's middle weight is exactly 0, and an
-axis on which no point of the set shifts its stencil leaves that row out:
-order * N rows per derivative there, against (order + 1) * N on a boundary
-axis where some point lies within stencil reach of a face.  Every periodic
-axis is of the first kind, and so is every boundary axis of a Gauss node set.
-`partial_derivative` and `jet` share one code path (`_stencil` builds the
-block and its weight table, `_evaluate` calls a field on it and `_weigh` sums
-the weighted values).  The derivatives of a `forms` component, nested ones
-such as d(*dA) too, probe along an axis path: `_path_level` adds one level's
-probe coordinates and weights, and `_path_values` calls a field on the
-path's block.
+lattice, the quadrature sum), builds a first jet (`jet`), sums a divergence
+(`fd_divergence`) or evaluates a derivative expression (`Derivative`); the
+identity modules compose these.  A finite difference calls its field once,
+on the stencil rows of every point stacked into one block (`_stencil`), in
+slices of at most _FD_ROWS rows (`_evaluate`), and weighs the values with
+the stencil's weight table (`_weigh`); `partial_derivative`, `jet` and a
+`Derivative`'s first level share these steps.  The weights are exact
+rationals rounded once (`_fd_weights`), so an axis on which no point shifts
+its stencil, every periodic one among them, leaves out the centre row, whose
+weight is exactly 0.
+
+A `Derivative` sums s * d_axis(child) terms, through `Scaled` children and
+derivatives on its domain and scheme down to the leaf fields; `forms` builds
+one per exterior-derivative component, nested ones such as d(*dA) too.  It
+walks at most _FD_ROWS // (order + 1) points at a time, so that a nested
+probe block stays small.  Where P might keep a block (`_keeps`), every part
+slices P's `_stencil` and a first-level leaf is called once on its block, as
+partial_derivative calls it; else each part probes its own points
+(`_first_level`).  Other leaves are called once per part and unordered axis
+path (`_path_values`), so d_a d_b and d_b d_a read the same values, and
+every value is bitwise what nested `partial_derivative` calls give.
 
 Node sets are shared: `volume_nodes`, `face_nodes`, `uniform_grid` and
 `face_grid` build each set once per argument tuple (for the last
@@ -38,8 +41,7 @@ field must not write into its points.  A node set's stencil blocks and weight
 tables belong to it (`_kept`) and are freed with its points, so one
 `_node_set.cache_clear()` frees every stencil that no caller can reach.  A
 block of more than _STENCIL_ROWS_KEPT rows and the stencils of other point
-sets are built anew on every call, and so is a path block, from the kept
-single-axis stencils of its node set; only those are kept.
+sets are built anew on every call.
 """
 from __future__ import annotations
 
@@ -47,7 +49,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -229,17 +231,16 @@ def _probes(x: np.ndarray, offsets: np.ndarray, h: float, lo: float, hi: float,
 # most stencil rows handed to f in one call; without a limit the peak memory
 # of a nested derivative grows with up to (order + 1)**2 times the lattice,
 # and at this one the default scenarios run no slower than without
-# (BENCH_7.json).  A nested form derivative walks _FD_ROWS // (order + 1)
-# points at a time for the same reason.
+# (BENCH_7.json).  A `Derivative` walks _FD_ROWS // (order + 1) points at a
+# time for the same reason.
 _FD_ROWS = 2**14
 
 
 @lru_cache(maxsize=None)
 def _shift_weights(r: int) -> np.ndarray:
     """(2r + 1, 2r + 1) first-derivative weights: column shift + r holds the
-    weights of the stencil shift - r .. shift + r, in offset order.  They are
-    exact up to one rounding, so the middle entry of the centred column r is
-    0.0 and an unshifted stencil leaves that row out."""
+    weights of the stencil shift - r .. shift + r, in offset order, so the
+    middle entry of the centred column r is exactly 0.0 (`_fd_weights`)."""
     w = np.array([_fd_weights(tuple(range(s - r, s + r + 1))) for s in range(-r, r + 1)]).T
     w.flags.writeable = False
     return w
@@ -249,36 +250,32 @@ def _new_stencil(P: np.ndarray, axis: int, dom: ChartDomain,
                  scheme: FDScheme) -> tuple[np.ndarray, np.ndarray]:
     """The (k * N, d) stencil block of a derivative along `axis` at the points
     P (N, d), read-only because every field differentiated at P along `axis`
-    is handed the same block, and its (k, N) weight table; row j * N + n of
-    the block probes point n at one offset and table[j, n] is that probe's
-    weight.  Where no point shifts its stencil, as on every periodic axis,
-    the centre offset, whose weight is exactly 0, is left out: there
-    k = order, the rows probe offsets -r .. -1, 1 .. r, and the table is the
-    one (order, 1) column of their weights, which every point shares.  Where
-    some point lies within stencil reach of a face, k = order + 1 and row
-    j * N + n probes offset shift_n - r + j."""
-    d = dom.dim
-    if not 0 <= axis < d:
-        raise ValueError(f"axis {axis} out of range for dim {d}")
-    lo, hi = dom.bounds[axis]
-    if scheme.step * scheme.order >= hi - lo:
-        raise ValueError("FD step too large for axis extent")
+    is handed the same block, and its weight table; row j * N + n of the block
+    probes point n at one offset, weighed by table[j, n] (`_axis_stencil`)."""
+    if not 0 <= axis < dom.dim:
+        raise ValueError(f"axis {axis} out of range for dim {dom.dim}")
     # contiguous, so that the (k, N) probe arithmetic runs on a unit stride
     probes, table = _axis_stencil(np.ascontiguousarray(P[:, axis]), axis, dom, scheme)
     block = np.empty((len(probes),) + P.shape)
     block[:] = P
     block[..., axis] = probes
-    flat = block.reshape(-1, d)
+    flat = block.reshape(-1, dom.dim)
     flat.flags.writeable = False
     return flat, table
 
 
 def _axis_stencil(x: np.ndarray, axis: int, dom: ChartDomain,
                   scheme: FDScheme) -> tuple[np.ndarray, np.ndarray]:
-    """The (k, n) probe coordinates along `axis` of `_new_stencil` at the
-    coordinates x (n,) on that axis, and its weight table."""
+    """The (k, n) probe coordinates along `axis` at the coordinates x (n,) on
+    that axis, and their weight table.  Where no point shifts its stencil, as
+    on every periodic axis, k = order, the offsets are -r .. -1, 1 .. r and
+    the table is the one (order, 1) column of their weights, which every point
+    shares; else k = order + 1, row j probes offset shift_n - r + j and the
+    table is (k, n)."""
     h, r = scheme.step, scheme.order // 2
     lo, hi = dom.bounds[axis]
+    if h * scheme.order >= hi - lo:
+        raise ValueError("FD step too large for axis extent")
     weights = _shift_weights(r)
     periodic = dom.is_periodic(axis)
     shifts = None if periodic else _stencil_shifts(x, lo, hi, h, r)
@@ -294,25 +291,29 @@ def _axis_stencil(x: np.ndarray, axis: int, dom: ChartDomain,
 
 
 # id(P) -> {(axis, dom, scheme): (block, table)} for the point array P of
-# every node set still alive.  `_node_set` adds P's entry, and a finalizer
-# removes it when P is freed, so no other array takes the id while the entry
-# lives.  A block of more than _STENCIL_ROWS_KEPT rows is built on every call
-# instead: kept, the blocks of a large lattice would hold their memory for as
-# long as the node set lives (the peak RSS of `maxwell_vacuum` at samples 17
-# rose from 60 to 88 MiB without this cap).
+# every live node set; `_node_set` adds P's entry and a finalizer removes it
+# when P is freed, so no other array takes the id meanwhile.  A block of more
+# than _STENCIL_ROWS_KEPT rows is not kept: a large lattice's blocks would
+# hold their memory as long as it lives (the peak RSS of `maxwell_vacuum` at
+# samples 17 rose from 60 to 88 MiB without this cap).
 _kept: dict[int, dict] = {}
 _STENCIL_ROWS_KEPT = 2**18
 
 
+def _keeps(P: np.ndarray, rows: int) -> bool:
+    """Whether a stencil block of `rows` rows at P is kept: P must be the
+    points of a live node set."""
+    return id(P) in _kept and rows <= _STENCIL_ROWS_KEPT
+
+
 def _stencil(P: np.ndarray, axis: int, dom: ChartDomain,
              scheme: FDScheme) -> tuple[np.ndarray, np.ndarray]:
-    """`_new_stencil` of P, built once per (axis, domain, scheme) while P is
-    the points of a live node set; for any other P built anew."""
-    kept = _kept.get(id(P), {})
-    key = (axis, dom, scheme)
+    """`_new_stencil` of P, built once per (axis, domain, scheme) where
+    `_keeps` keeps it; else built anew."""
+    kept, key = _kept.get(id(P), {}), (axis, dom, scheme)
     if key not in kept:
         stencil = _new_stencil(P, axis, dom, scheme)
-        if len(stencil[0]) > _STENCIL_ROWS_KEPT:
+        if not _keeps(P, len(stencil[0])):
             return stencil
         kept[key] = stencil
     return kept[key]
@@ -325,37 +326,38 @@ def _evaluate(f: Evaluator, block: np.ndarray, out: np.ndarray) -> None:
         out[i:i + _FD_ROWS] = f(block[i:i + _FD_ROWS])
 
 
+def _stencil_values(f: Evaluator, stencil: tuple[np.ndarray, np.ndarray]
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """f's (k, N) values on a `_stencil` block, which it is handed as it is,
+    and the block's weight table."""
+    block, table = stencil
+    vals = np.empty(len(block))
+    _evaluate(f, block, vals)
+    return vals.reshape(len(table), -1), table
+
+
 def _weigh(vals: np.ndarray, table: np.ndarray, h: float) -> np.ndarray:
-    """(..., N) derivative values from the (..., k, N) stencil values, which
-    are weighed by the (k, N) or (k, 1) table, or one that broadcasts to
-    them, in place unless they are read-only, summed in offset order and
-    divided by h."""
+    """(..., N) derivative values from the (..., k, N) stencil values, weighed
+    by a (k, N) or (k, 1) table, or one that broadcasts to them, in place
+    unless read-only, summed in offset order and divided by h."""
     vals = np.multiply(vals, table, out=vals if vals.flags.writeable else None)
     out = np.add.reduce(vals, axis=-2, initial=0.0)
     out /= h
     return out
 
 
-def _path_level(P: np.ndarray, cols: dict, axis: int, dom: ChartDomain,
-                scheme: FDScheme) -> tuple[dict, np.ndarray]:
-    """One level deeper, along `axis`, in the probe block of an axis path at
-    the points P (n, d).  `cols` maps each axis of the path so far to its
-    probe coordinates, which broadcast to (k_0, ..., k_m-1, n); returns the
-    same for the deeper path and the weight table of its new level.  An
-    axis's first level reads P's stencil, kept for a node set; a repeated one
-    probes the coordinates of its last level, as a stencil of the outer block
-    would."""
-    x = cols.get(axis, P[:, axis])
-    if axis in cols:
-        probes, table = _axis_stencil(x.ravel(), axis, dom, scheme)
-    else:
-        block, table = _stencil(P, axis, dom, scheme)
-        probes = block[:, axis]
-    # (k, x.size) -> (x's levels, k, n); a (k, 1) table broadcasts as it is
-    lift = (*range(1, x.ndim), 0, x.ndim)
-    deeper = {b: c[..., None, :] for b, c in cols.items()}
-    deeper[axis] = probes.reshape((-1,) + x.shape).transpose(lift)
-    return deeper, table if table.shape[1] == 1 else table.reshape((-1,) + x.shape).transpose(lift)
+def _first_level(P: np.ndarray, part: slice, axis: int, dom: ChartDomain, scheme: FDScheme,
+                 whole: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, n) probe coordinates along `axis` of the points P[part] and their
+    weight table: a slice of P's `_stencil`, held in `whole` for the call, where P
+    might keep its block of at least order * N rows, else `_axis_stencil`'s at P[part]."""
+    if axis not in whole:
+        whole[axis] = _stencil(P, axis, dom, scheme) if _keeps(P, scheme.order * len(P)) else None
+    if whole[axis] is None:
+        return _axis_stencil(np.ascontiguousarray(P[part, axis]), axis, dom, scheme)
+    block, table = whole[axis]
+    probes = block[:, axis].reshape(len(table), -1)[:, part]
+    return probes, table if table.shape[1] == 1 else table[:, part]
 
 
 def _path_values(f: Evaluator, P: np.ndarray, cols: dict) -> np.ndarray:
@@ -373,33 +375,97 @@ def _path_values(f: Evaluator, P: np.ndarray, cols: dict) -> np.ndarray:
     return vals
 
 
-def partial_derivative(
-    f: Evaluator,
-    axis: int,
-    p,
-    dom: ChartDomain,
-    scheme: FDScheme = FDScheme(),
-):
+class Scaled(NamedTuple):
+    """c * f(X), the function of a `fields.scaled` field, seen through by a walk."""
+
+    c: float
+    f: ScalarField
+
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        return self.c * self.f(X)
+
+
+class Derivative(NamedTuple):
+    """The sum of s * d_axis(child) over its (s, axis, child) terms, s = +-1."""
+
+    terms: tuple[tuple[int, int, ScalarField], ...]
+    dom: ChartDomain
+    scheme: FDScheme
+
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        P = X if X.ndim == 2 else X.reshape(-1, self.dom.dim)
+        # `whole` holds the call's first levels on all of P, each part's memo the rest
+        step, whole, out = _FD_ROWS // (self.scheme.order + 1), {}, np.empty(len(P))
+        for i in range(0, len(P), step):
+            out[i:i + step] = self.at(P, slice(i, i + step), (), {}, {}, whole)
+        return out.reshape(X.shape[:-1])
+
+    def at(self, P: np.ndarray, part: slice, path: tuple[int, ...], cols: dict, memo: dict,
+           whole: dict) -> np.ndarray:
+        """The values (k_0, ..., k_m-1, n) on the probe block of `path` at the
+        points P[part], whose coordinates are `cols`."""
+        total = 0
+        for s, ax, g in self.terms:
+            deeper, table = self.level(P, part, cols, ax, memo, whole)
+            # for s = +-1, s * (sum / h) is bitwise sum / (s * h)
+            total = total + _weigh(self.child(g, P, part, path + (ax,), deeper, memo, whole),
+                                   table, s * self.scheme.step)
+        return total
+
+    def level(self, P: np.ndarray, part: slice, cols: dict, axis: int, memo: dict,
+              whole: dict) -> tuple[dict, np.ndarray]:
+        """`cols` one level deeper along `axis` and its weight table: the part's
+        first level, or a repeated axis's stencil at its last level's probes."""
+        deeper = {b: c[..., None, :] for b, c in cols.items()}
+        if axis not in cols:
+            if axis not in memo:
+                memo[axis] = _first_level(P, part, axis, self.dom, self.scheme, whole)
+            deeper[axis], table = memo[axis]
+            return deeper, table
+        x = cols[axis]
+        probes, table = _axis_stencil(x.ravel(), axis, self.dom, self.scheme)
+        # (k, x.size) -> (x's levels, k, n); a (k, 1) table broadcasts as it is
+        shape, lift = (-1,) + x.shape, (*range(1, x.ndim), 0, x.ndim)
+        deeper[axis] = probes.reshape(shape).transpose(lift)
+        return deeper, table if table.shape[1] == 1 else table.reshape(shape).transpose(lift)
+
+    def child(self, f: ScalarField, P: np.ndarray, part: slice, path: tuple[int, ...],
+              cols: dict, memo: dict, whole: dict) -> np.ndarray:
+        node = getattr(f, "func", None)
+        if isinstance(node, Scaled):
+            return node.c * self.child(node.f, P, part, path, cols, memo, whole)
+        if isinstance(node, Derivative) and (node.dom, node.scheme) == (self.dom, self.scheme):
+            return node.at(P, part, path, cols, memo, whole)
+        key = (id(f), tuple(sorted(path)))
+        if len(path) == 1 and whole[path[0]]:  # once on P's stencil, as partial_derivative
+            if key not in whole:
+                whole[key] = _stencil_values(f, whole[path[0]])[0]
+                whole[key].flags.writeable = False
+            return whole[key][:, part]
+        # a leaf's values are kept with their levels in axis order, shared by
+        # the orders of one path, which probe the same points
+        order = sorted(range(len(path)), key=path.__getitem__)
+        if key not in memo:
+            memo[key] = _path_values(f, P[part], cols).transpose(order + [len(path)])
+        return memo[key].transpose(sorted(range(len(path)), key=order.__getitem__)
+                                   + [len(path)])
+
+
+def partial_derivative(f: Evaluator, axis: int, p, dom: ChartDomain,
+                       scheme: FDScheme = FDScheme()):
     """Finite-difference estimate of the base derivative of f along `axis` at
     p: a float for one point (d,), an array of shape (...) for points (..., d).
 
     Wraps coordinates on periodic axes; uses one-sided stencils of the same
-    order within stencil reach of a boundary face.  Every stencil row of every
-    point goes to f in one call, on an ((order + 1) * N, d) block, or an
-    (order * N, d) block on an axis where no point shifts its stencil (every
-    periodic axis), which has no row for the zero-weight centre offset.
-    Each row's value is then weighed by its entry of the stencil's weight
-    table.  A block of more than _FD_ROWS rows goes to f in consecutive
-    slices of that many rows.
-    An (N, d) p is used as it is, not reshaped, so that a node set finds its
+    order within stencil reach of a boundary face.  f is called once on the
+    stencil block of all the points, in slices of at most _FD_ROWS rows, and
+    each row's value is weighed by its entry of the block's weight table.  An
+    (N, d) p is used as it is, not reshaped, so that a node set finds its
     kept stencils.
     """
     p = np.asarray(p, dtype=float)
     P = p if p.ndim == 2 else p.reshape(-1, dom.dim)
-    block, table = _stencil(P, axis, dom, scheme)
-    vals = np.empty(len(block))
-    _evaluate(f, block, vals)
-    out = _weigh(vals.reshape(len(table), -1), table, scheme.step)
+    out = _weigh(*_stencil_values(f, _stencil(P, axis, dom, scheme)), scheme.step)
     return float(out[0]) if p.ndim == 1 else out.reshape(p.shape[:-1])
 
 

@@ -6,11 +6,11 @@ so the randomization is always through an explicit generator.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .chart import ScalarField
+from .chart import ScalarField, Scaled
 
 
 def constant_field(c: float) -> ScalarField:
@@ -104,17 +104,6 @@ def poly_bump_field(support: Sequence[Sequence[float]], amplitude: float) -> Sca
         return out
 
     return ScalarField(ev)
-
-
-class Scaled(NamedTuple):
-    """The function of a `scaled` field, c * f(X), which keeps c and f, so
-    that a walk over a form component can see through it."""
-
-    c: float
-    f: ScalarField
-
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        return self.c * self.f(X)
 
 
 def scaled(f: ScalarField, c: float) -> ScalarField:

@@ -4,38 +4,30 @@ Hodge star, and the p-form electrodynamics power expression.
 Components are stored on strictly increasing multi-indices, so antisymmetry
 is structural; all sign bookkeeping goes through one shuffle-sign routine.
 
-A component of an exterior derivative keeps its (sign, axis, child) terms
-(`_Derivative`), and a Hodge star's its scale (`fields.Scaled`).  Evaluating
-one walks its terms down to the leaf fields on the probe blocks of their axis
-paths, with a memo that lasts for that call: each leaf is called once per
-unordered path, so d_a d_b and d_b d_a read the same values, and each ordered
-path keeps the arithmetic of nested `partial_derivative` calls, so every
-value is bitwise what they give.
+A component of an exterior derivative is a `chart.Derivative` of its
+(sign, axis, child) terms, and a Hodge star's keeps its scale
+(`fields.scaled`); evaluating one is `chart`'s walk, so this module holds
+only the terms.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
-
-import numpy as np
+from typing import Mapping, Sequence
 
 from .chart import (
     ChartDomain,
+    Derivative,
     FDScheme,
     QuadratureRule,
     ScalarField,
-    _FD_ROWS,
-    _path_level,
-    _path_values,
-    _weigh,
     integrate_volume,
     # not called here; perfbench's tracer test checks that this binding is patched
     partial_derivative,  # noqa: F401
     sup_norm,
     uniform_grid,
 )
-from .fields import Scaled, constant_field, scaled
+from .fields import constant_field, scaled
 
 Index = tuple[int, ...]
 
@@ -145,64 +137,8 @@ def exterior_derivative(a: PForm, dom: ChartDomain,
                 continue
             key = tuple(sorted(I + (ax,)))
             terms.setdefault(key, []).append((sgn, ax, f))
-    return PForm(a.degree + 1, a.dim, {key: ScalarField(_Derivative(tuple(parts), dom, scheme))
+    return PForm(a.degree + 1, a.dim, {key: ScalarField(Derivative(tuple(parts), dom, scheme))
                                        for key, parts in terms.items()})
-
-
-class _Derivative(NamedTuple):
-    """An exterior-derivative component: the sum of s * d_axis(child) over
-    its (s, axis, child) terms."""
-
-    terms: tuple[tuple[int, int, ScalarField], ...]
-    dom: ChartDomain
-    scheme: FDScheme
-
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        P = X if X.ndim == 2 else X.reshape(-1, self.dom.dim)
-        # a nested walk takes at most this many points at a time, which bounds
-        # its blocks; a first derivative's block is no larger than
-        # partial_derivative's, and unsliced it reads a node set's stencils
-        step = _FD_ROWS // (self.scheme.order + 1)
-        if len(P) <= step or not any(self.enters(g) for _, _, g in self.terms):
-            return self.at(P, (), {}, {}).reshape(X.shape[:-1])
-        return np.concatenate([self.at(P[i:i + step], (), {}, {})
-                               for i in range(0, len(P), step)]).reshape(X.shape[:-1])
-
-    def enters(self, f: ScalarField) -> bool:
-        """Whether f, below its scales, is a derivative that this walk goes
-        into; one on another domain or scheme is a leaf."""
-        node = getattr(f, "func", None)
-        if isinstance(node, Scaled):
-            return self.enters(node.f)
-        return isinstance(node, _Derivative) and (node.dom, node.scheme) == (self.dom, self.scheme)
-
-    def at(self, P: np.ndarray, path: tuple[int, ...], cols: dict, memo: dict) -> np.ndarray:
-        """The values (k_0, ..., k_m-1, n) on the probe block of `path` at P,
-        whose coordinates are `cols` (`chart._path_level`); `memo` holds the
-        leaf values of this walk."""
-        total = 0
-        for s, ax, g in self.terms:
-            deeper, table = _path_level(P, cols, ax, self.dom, self.scheme)
-            # for s = +-1, s * (sum / h) is bitwise sum / (s * h)
-            total = total + _weigh(self.child(g, P, path + (ax,), deeper, memo), table,
-                                   s * self.scheme.step)
-        return total
-
-    def child(self, f: ScalarField, P: np.ndarray, path: tuple[int, ...], cols: dict,
-              memo: dict) -> np.ndarray:
-        node = getattr(f, "func", None)
-        if isinstance(node, Scaled):
-            return node.c * self.child(node.f, P, path, cols, memo)
-        if self.enters(f):
-            return node.at(P, path, cols, memo)
-        # a leaf's values are kept with their levels in axis order, shared by
-        # the orders of one path, which probe the same points
-        order = sorted(range(len(path)), key=path.__getitem__)
-        key = (id(f), tuple(sorted(path)))
-        if key not in memo:
-            memo[key] = _path_values(f, P, cols).transpose(order + [len(path)])
-        return memo[key].transpose(sorted(range(len(path)), key=order.__getitem__)
-                                   + [len(path)])
 
 
 def hodge_star(a: PForm, metric: FlatMetric) -> PForm:
@@ -238,11 +174,7 @@ def pform_virtual_power(g: PForm, v: PForm, b: PForm | None, dom: ChartDomain,
     t1 = wedge(current, v).component(top)
     t2 = wedge(g, dv).component(top)
     t3 = b.component(top) if b is not None else constant_field(0.0)
-
-    def coeff(X: np.ndarray) -> float:
-        return t1(X) + sign * t2(X) + t3(X)
-
-    return integrate_volume(coeff, dom, rule)
+    return integrate_volume(lambda X: t1(X) + sign * t2(X) + t3(X), dom, rule)
 
 
 def maxwell_fields(A: PForm, metric: FlatMetric, dom: ChartDomain,

@@ -8,15 +8,20 @@ residuals.  A scenario's defaults and allowed dimensions live in its
 `run_scenario` fills every key the config leaves unset from that row and
 rejects a key the row does not name, so the echoed config is the one that ran.
 
-A runner yields (name, value, default tolerance, comparator) per check, in
-report order; `run_scenario` resolves each tolerance override, gives the
-verdict and times each check from the previous one.
+A runner yields (name, thunk, default tolerance, comparator) per check, in
+report order; checks that one call computes (maxwell's null_wave_dF and
+null_wave_J, the bar's interior and boundary, the translations) share one
+thunk, under the tuple of their names.  `run_scenario` calls each thunk at
+once, before it resumes the runner, so a thunk sees its own iteration's loop
+variables and the rng draws keep their order; `seconds` is the time of the
+thunk that computed the check.
 """
 from __future__ import annotations
 
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields as dc_fields, replace
+from functools import cache
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -89,7 +94,8 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be at least {low}, got {value}")
 
 
-Checks = Iterator[tuple[str, float, float, str]]  # comparator "le" | "ge"
+# (name or names, thunk of its value or values, tolerance, comparator "le" | "ge")
+Checks = Iterator[tuple[str | tuple[str, ...], Callable[[], object], float, str]]
 
 
 def _rng(cfg: ScenarioConfig) -> np.random.Generator:
@@ -128,7 +134,8 @@ def _scenario_stokes(cfg: ScenarioConfig) -> Checks:
     rule, scheme = _rule(cfg), _scheme(cfg)
     for k in range(cfg.count):
         omega = [fields.random_polynomial(rng, d, 3) for _ in range(d)]
-        yield f"stokes_{k:02d}", chart.stokes_residual(omega, dom, rule, scheme), 1e-6, "le"
+        yield (f"stokes_{k:02d}", lambda: chart.stokes_residual(omega, dom, rule, scheme),
+               1e-6, "le")
 
 
 def _scenario_exterior_jet(cfg: ScenarioConfig) -> Checks:
@@ -145,10 +152,9 @@ def _scenario_exterior_jet(cfg: ScenarioConfig) -> Checks:
         # d(tau . v): divergence of the contracted (d-1)-form components
         w = [ScalarField(lambda X, a=a: sum(tau.tau[i][a](X) * v.components[i](X)
                                             for i in range(m))) for a in range(d)]
-        worst = sup_norm(
+        yield f"pair_{k:02d}", lambda: sup_norm(
             lambda X: chart.fd_divergence(w, X, dom, scheme) - stress.stress_pairing(s, eta, X),
-            grid)
-        yield f"pair_{k:02d}", worst, 1e-6, "le"
+            grid), 1e-6, "le"
 
 
 def _scenario_divergence(cfg: ScenarioConfig) -> Checks:
@@ -168,10 +174,10 @@ def _scenario_divergence(cfg: ScenarioConfig) -> Checks:
         div = stress.divergence(s, dom, scheme)
         lifted = stress.exterior_jet(stress.traction_extract(s), dom, scheme)
         eta = jet_prolong_velocity(v, dom, scheme)
-        worst = sup_norm(
+        yield f"pair_{k:02d}", lambda: sup_norm(
             lambda X: np.sum(div.value(X) * v.value(X), axis=-1)
-            - (stress.stress_pairing(lifted, eta, X) - stress.stress_pairing(s, eta, X)), grid)
-        yield f"pair_{k:02d}", worst, 1e-6, "le"
+            - (stress.stress_pairing(lifted, eta, X) - stress.stress_pairing(s, eta, X)),
+            grid), 1e-6, "le"
 
 
 def _scenario_weak_strong(cfg: ScenarioConfig) -> Checks:
@@ -183,7 +189,7 @@ def _scenario_weak_strong(cfg: ScenarioConfig) -> Checks:
         s = random_stress(rng, d, m)
         v = random_velocity(rng, d, m)
         yield (f"case_{k:02d}",
-               equilibrium.weak_strong_consistency(s, v, dom, rule, scheme), 1e-6, "le")
+               lambda: equilibrium.weak_strong_consistency(s, v, dom, rule, scheme), 1e-6, "le")
 
 
 def _scenario_null_stress(cfg: ScenarioConfig) -> Checks:
@@ -204,12 +210,13 @@ def _scenario_null_stress(cfg: ScenarioConfig) -> Checks:
                            for _ in range(d)) for _ in range(m))
         tau = stress.TractionStressDensity(taus)
         s = stress.exterior_jet(tau, dom, scheme)
-        power = np.linalg.norm(stress.virtual_power_of_stress(s, tests, dom, rule, scheme), np.inf)
-        yield f"power_{k:02d}", power, 1e-8, "le"
-        magnitude = sup_norm(lambda X: [g(X) for row in s.s_mixed for g in row], grid)
-        yield f"magnitude_{k:02d}", magnitude, 0.1, "ge"
+        yield f"power_{k:02d}", lambda: np.linalg.norm(
+            stress.virtual_power_of_stress(s, tests, dom, rule, scheme), np.inf), 1e-8, "le"
+        yield (f"magnitude_{k:02d}",
+               lambda: sup_norm(lambda X: [g(X) for row in s.s_mixed for g in row], grid),
+               0.1, "ge")
         div = stress.divergence(s, dom, scheme)
-        yield f"divergence_{k:02d}", sup_norm(div.value, grid), 1e-6, "le"
+        yield f"divergence_{k:02d}", lambda: sup_norm(div.value, grid), 1e-6, "le"
 
 
 def _bar_setup() -> tuple[ChartDomain, material.LagrangianDensity,
@@ -229,13 +236,14 @@ def _scenario_bar(cfg: ScenarioConfig) -> Checks:
     scheme = _scheme(cfg)
     psi = material.constitutive_from_lagrangian(L, 1, 1)
     kappa = Configuration((ScalarField(lambda X: 0.5 * X[..., 0] ** 2),))
-    interior, boundary = material.bvp_residual(kappa, psi, body, surf, dom, scheme, cfg.samples)
-    yield "interior", interior, 1e-6, "le"
-    yield "boundary", boundary, 1e-6, "le"
+    yield (("interior", "boundary"),
+           lambda: material.bvp_residual(kappa, psi, body, surf, dom, scheme, cfg.samples),
+           1e-6, "le")
     bent = Configuration(
         (ScalarField(lambda X: 0.5 * X[..., 0] ** 2 + 1e-2 * np.sin(math.pi * X[..., 0])),))
-    perturbed, _ = material.bvp_residual(bent, psi, body, surf, dom, scheme, cfg.samples)
-    yield "sensitivity", perturbed, 5e-3, "ge"
+    yield ("sensitivity",
+           lambda: material.bvp_residual(bent, psi, body, surf, dom, scheme, cfg.samples)[0],
+           5e-3, "ge")
 
 
 def _exponents(n: int, degree: int) -> list[tuple[int, ...]]:
@@ -276,7 +284,8 @@ def _scenario_energy_variation(cfg: ScenarioConfig) -> Checks:
         v = random_velocity(rng, d, m)
         L = random_lagrangian(rng, m, d)
         yield (f"triple_{k:02d}",
-               material.energy_variation_residual(kappa, v, L, dom, rule, scheme), 1e-6, "le")
+               lambda: material.energy_variation_residual(kappa, v, L, dom, rule, scheme),
+               1e-6, "le")
 
 
 def _scenario_equilibrated(cfg: ScenarioConfig) -> Checks:
@@ -287,8 +296,9 @@ def _scenario_equilibrated(cfg: ScenarioConfig) -> Checks:
     s = random_stress(rng, d, m, with_lower=False)
     f = equilibrium.force_from_stress(s, dom, scheme)
     gens = forces.translation_generators(m)
-    for label, value in forces.equilibrated_force_residual(f, gens, dom, rule).items():
-        yield label, value, 1e-8, "le"
+    yield (tuple(gens),
+           lambda: tuple(forces.equilibrated_force_residual(f, gens, dom, rule).values()),
+           1e-8, "le")
 
 
 def plane_wave_potential(k: np.ndarray, eps: np.ndarray) -> forms.PForm:
@@ -310,21 +320,20 @@ def _scenario_maxwell(cfg: ScenarioConfig) -> Checks:
     k_null = np.array([1.0, 1.0, 0.0, 0.0])
     eps = np.array([0.0, 0.0, 1.0, 0.0])
     A = plane_wave_potential(k_null, eps)
-    dF, J = forms.maxwell_vacuum_check(A, metric, dom, scheme, cfg.samples)
-    yield "null_wave_dF", dF, 1e-6, "le"
-    yield "null_wave_J", J, 1e-6, "le"
+    yield (("null_wave_dF", "null_wave_J"),
+           lambda: forms.maxwell_vacuum_check(A, metric, dom, scheme, cfg.samples), 1e-6, "le")
 
     k_bad = np.array([1.0, 0.0, 0.0, 0.0])
     A_bad = plane_wave_potential(k_bad, eps)
     # only the source of the non-null wave is checked, so its dF is not computed
     _, J_bad = forms.maxwell_fields(A_bad, metric, dom, scheme)
-    yield "non_null_J", forms.form_sup_norm(J_bad, dom, cfg.samples), 0.1, "ge"
+    yield "non_null_J", lambda: forms.form_sup_norm(J_bad, dom, cfg.samples), 0.1, "ge"
 
     rng = _rng(cfg)
     B = forms.PForm(1, 4, {(mu,): fields.random_sine_field(rng, 4, n_modes=1)
                            for mu in range(4)})
     ddB = forms.exterior_derivative(forms.exterior_derivative(B, dom, scheme), dom, scheme)
-    yield "dd_zero", forms.form_sup_norm(ddB, dom, cfg.samples), 1e-6, "le"
+    yield "dd_zero", lambda: forms.form_sup_norm(ddB, dom, cfg.samples), 1e-6, "le"
 
 
 def _scenario_pform_leibniz(cfg: ScenarioConfig) -> Checks:
@@ -342,15 +351,14 @@ def _scenario_pform_leibniz(cfg: ScenarioConfig) -> Checks:
     lhs = forms.exterior_derivative(forms.wedge(a, b), dom, scheme)
     da_b = forms.wedge(forms.exterior_derivative(a, dom, scheme), b)
     a_db = forms.wedge(a, forms.exterior_derivative(b, dom, scheme))
-    worst = sup_norm(lambda X: [lhs.component(idx)(X)
-                                - (da_b.component(idx)(X) - a_db.component(idx)(X))
-                                for idx in lhs.indices()], uniform_grid(dom, cfg.samples))
-    yield "leibniz", worst, 1e-6, "le"
+    yield "leibniz", lambda: sup_norm(lambda X: [
+        lhs.component(idx)(X) - (da_b.component(idx)(X) - a_db.component(idx)(X))
+        for idx in lhs.indices()], uniform_grid(dom, cfg.samples)), 1e-6, "le"
 
     ab, ba = forms.wedge(a, b), forms.wedge(b, a)
-    anti = sup_norm(lambda X: [ab.component(idx)(X) + ba.component(idx)(X)
-                               for idx in ab.indices()], uniform_grid(dom, 5))
-    yield "anticommute", anti, 1e-12, "le"
+    yield "anticommute", lambda: sup_norm(lambda X: [ab.component(idx)(X) + ba.component(idx)(X)
+                                                     for idx in ab.indices()],
+                                          uniform_grid(dom, 5)), 1e-12, "le"
 
     # closed-box power: on a torus the power of any smooth pair integrates to
     # zero.  The 1-forms share modes: g_i = a_i sin(theta_i) with theta_i =
@@ -367,14 +375,15 @@ def _scenario_pform_leibniz(cfg: ScenarioConfig) -> Checks:
         ab += a_i * b_i
     g, v = forms.PForm(1, d, g), forms.PForm(1, d, v)
     rule = _rule(cfg)
-    power = forms.pform_virtual_power(g, v, None, per, rule, scheme)
-    yield "closed_box_power", abs(power), 1e-6, "le"
+    yield ("closed_box_power",
+           lambda: abs(forms.pform_virtual_power(g, v, None, per, rule, scheme)), 1e-6, "le")
     dg_v = forms.wedge(forms.exterior_derivative(g, per, scheme), v).component(tuple(range(d)))
-    integral = chart.integrate_volume(dg_v, per, rule)
-    yield "magnitude_dg_v", abs(integral), 0.1, "ge"
+    # computed once, in the thunk of the first check that reads it
+    integral = cache(lambda: chart.integrate_volume(dg_v, per, rule))
+    yield "magnitude_dg_v", lambda: abs(integral()), 0.1, "ge"
     # the integral's exact value anchors the derivative's scale and sign,
     # which the identity checks above cannot see
-    yield "signed_dg_v", abs(integral + math.pi * ab), 1e-6, "le"
+    yield "signed_dg_v", lambda: abs(integral() + math.pi * ab), 1e-6, "le"
 
 
 # id -> (runner, defaults of the optional config keys it reads, allowed d or
@@ -414,17 +423,20 @@ def run_scenario(cfg: ScenarioConfig) -> Report:
     if allowed_d is not None and cfg.d not in allowed_d:
         raise ConfigError(f"{cfg.scenario} supports d in {sorted(allowed_d)}, got {cfg.d}")
     checks: list[Check] = []
-    t0 = time.perf_counter()
-    for name, value, default_tol, comparator in runner(cfg):
-        t1 = time.perf_counter()
+    for names, thunk, default_tol, comparator in runner(cfg):
+        t0 = time.perf_counter()
+        values = thunk()
+        seconds = time.perf_counter() - t0
+        if isinstance(names, str):
+            names, values = (names,), (values,)
         # `default` moves only `le` checks: a lowered `ge` bar passes on noise
         if comparator == "le":
             default_tol = cfg.tolerances.get("default", default_tol)
-        tol = cfg.tolerances.get(name, default_tol)
-        # a non-finite value fails whatever the comparator
-        ok = math.isfinite(value) and (value <= tol if comparator == "le" else value >= tol)
-        checks.append(Check(name, float(value), float(tol), comparator, bool(ok), t1 - t0))
-        t0 = t1
+        for name, value in zip(names, values, strict=True):
+            tol = cfg.tolerances.get(name, default_tol)
+            # a non-finite value fails whatever the comparator
+            ok = math.isfinite(value) and (value <= tol if comparator == "le" else value >= tol)
+            checks.append(Check(name, float(value), float(tol), comparator, bool(ok), seconds))
     # check names are known only once the runner has yielded its checks
     names = [c.name for c in checks]
     stray = [k for k in cfg.tolerances if k != "default" and k not in names]

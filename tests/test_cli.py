@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -303,12 +304,35 @@ class TestScenarioRunner:
         r = run_scenario(ScenarioConfig("empty"))
         assert r.checks == [] and not r.passed
 
+    def test_each_thunk_runs_before_the_runner_resumes(self, monkeypatch):
+        # the thunks close over the loop variable k: called once all were
+        # yielded, each would read the last k.  The fake clock charges the
+        # runner's own work (5 s per yield) to no check and each thunk's
+        # (k + 1 s) to its checks; a pair computed in one call shares its time.
+        clock = [0.0]
+
+        def spend(seconds):
+            clock[0] += seconds
+
+        def runner(cfg):
+            for k in range(3):
+                spend(5.0)
+                yield f"c{k}", lambda: spend(k + 1.0) or k, 10.0, "le"
+            yield ("pair_0", "pair_1"), lambda: spend(0.5) or (2.0, -1.0), 10.0, "le"
+
+        monkeypatch.setattr(scenarios, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+        monkeypatch.setitem(REGISTRY, "late", (runner, {}, None))
+        r = run_scenario(ScenarioConfig("late"))
+        assert [(c.name, c.value, c.seconds) for c in r.checks] == [
+            ("c0", 0.0, 1.0), ("c1", 1.0, 2.0), ("c2", 2.0, 3.0),
+            ("pair_0", 2.0, 0.5), ("pair_1", -1.0, 0.5)]
+
     @pytest.mark.parametrize("value, comparator", [
         (float("nan"), "le"), (float("nan"), "ge"), (float("inf"), "ge"), (float("-inf"), "le"),
     ])
     def test_non_finite_value_fails(self, monkeypatch, value, comparator):
         monkeypatch.setitem(REGISTRY, "probe", (
-            lambda cfg: iter([("probe", value, 1.0, comparator)]), {}, None))
+            lambda cfg: iter([("probe", lambda: value, 1.0, comparator)]), {}, None))
         r = run_scenario(ScenarioConfig("probe"))
         assert not r.checks[0].passed and not r.passed
 
@@ -458,7 +482,7 @@ class TestMain:
 
     def test_non_finite_value_is_null_in_strict_json(self, monkeypatch, capsys):
         monkeypatch.setitem(REGISTRY, "probe", (
-            lambda cfg: iter([("probe", float("nan"), 1.0, "le")]), {}, None))
+            lambda cfg: iter([("probe", lambda: float("nan"), 1.0, "le")]), {}, None))
         assert main(["--scenario", "probe"]) == EXIT_FAIL
         report = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
         assert report["checks"][0]["value"] is None

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jetstress import fields
-from jetstress.chart import BoundaryFace, ChartDomain, QuadratureRule, ScalarField
+from jetstress.chart import BoundaryFace, ChartDomain, QuadratureRule, ScalarField, stokes_residual
 from jetstress.equilibrium import (
     equilibrium_residuals,
     force_from_stress,
@@ -264,3 +264,68 @@ class TestEquilibratedForces:
         assert label == "rotation_01"
         v = g.value([0.3, 0.8])
         assert np.allclose(v, [-0.8, 0.3])
+
+
+class TestChartChange:
+    """The paper's objects do not depend on the chart.  A change of base
+    chart X(Y) from the unit box, with per-axis Jacobian J_a = dY_a/dX_a,
+    carries a field f to f(Y(X)) and a density (a stress or a (d-1)-form
+    component along axis a) to |det J| / J_a times it, with J_a = 1 for the
+    value part of a stress.  Every residual and virtual power is then the
+    same in exact arithmetic, and agrees to 1e-12 in floating point.
+
+    Reflecting an axis, X_a -> lo + hi - X_a, swaps its lower and upper
+    faces, whose orientation signs only global Stokes fixes
+    (`BoundaryFace.induced_sign`); the other chart maps the unit box onto a
+    box with non-unit bounds, which no scenario reaches."""
+
+    BOUNDS = np.array([(-1.0, 2.0), (0.5, 1.25), (2.0, 2.5)])
+
+    def chart_change(self, kind, d):
+        """(domain, Y(X), J) of the chart change."""
+        if kind == "box":
+            lo, hi = self.BOUNDS[:d, 0], self.BOUNDS[:d, 1]
+            return ChartDomain.box(self.BOUNDS[:d]), lambda X: (X - lo) / (hi - lo), 1.0 / (hi - lo)
+        axis = d - 1  # the unit box reflected along its last axis
+        J = np.where(np.arange(d) == axis, -1.0, 1.0)
+        return ChartDomain.unit(d), lambda X: np.where(J < 0, 1.0 - X, X), J
+
+    @staticmethod
+    def moved(f, Y, c=1.0):
+        return ScalarField(lambda X: c * f(Y(X)))
+
+    def moved_stress(self, s, Y, J):
+        det = abs(np.prod(J))
+        return VariationalStressDensity(
+            tuple(self.moved(g, Y, det) for g in s.s_lower),
+            tuple(tuple(self.moved(g, Y, det / J[a]) for a, g in enumerate(row))
+                  for row in s.s_mixed))
+
+    @pytest.mark.parametrize("kind", ["reflect", "box"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_stokes_residual(self, kind, d):
+        dom, Y, J = self.chart_change(kind, d)
+        omega = [fields.random_polynomial(np.random.default_rng(60 + d), d, 3) for _ in range(d)]
+        det = abs(np.prod(J))
+        moved = [self.moved(w, Y, det / J[a]) for a, w in enumerate(omega)]
+        assert stokes_residual(moved, dom) == pytest.approx(
+            stokes_residual(omega, ChartDomain.unit(d)), abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["reflect", "box"])
+    @pytest.mark.parametrize("d, m", [(2, 2), (3, 1)])
+    def test_weak_strong_and_virtual_power(self, kind, d, m):
+        dom, Y, J = self.chart_change(kind, d)
+        unit = ChartDomain.unit(d)
+        rng = np.random.default_rng(70 + d)
+        s = poly_stress(rng, d, m)
+        vs = [VelocityField(tuple(fields.random_polynomial(rng, d, 3) for _ in range(m)))
+              for _ in range(3)]
+        s2 = self.moved_stress(s, Y, J)
+        vs2 = [VelocityField(tuple(self.moved(c, Y) for c in v.components)) for v in vs]
+        power = virtual_power_of_stress(s, vs, unit, QuadratureRule())
+        assert np.max(np.abs(power)) > 0.1
+        np.testing.assert_allclose(virtual_power_of_stress(s2, vs2, dom, QuadratureRule()),
+                                   power, rtol=0, atol=1e-12)
+        for v, v2 in zip(vs, vs2):
+            assert weak_strong_consistency(s2, v2, dom) == pytest.approx(
+                weak_strong_consistency(s, v, unit), abs=1e-12)

@@ -178,17 +178,16 @@ class TestSharedMixedPartials:
 
         return ScalarField(ev), rows
 
-    def second(self, f, a, b, dom):
+    def second(self, f, a, b, dom, scheme=SCHEME):
         """d_a d_b f as the one term of a component, and that term's sign."""
         d = dom.dim
-        df = exterior_derivative(PForm(0, d, {(): f}), dom, self.SCHEME).component((b,))
+        df = exterior_derivative(PForm(0, d, {(): f}), dom, scheme).component((b,))
         # a == b needs a form without the index a, which leaves only its complement
         I = tuple(i for i in range(d) if i != a) if a == b else (b,)
-        outer = exterior_derivative(PForm(len(I), d, {I: df}), dom, self.SCHEME)
+        outer = exterior_derivative(PForm(len(I), d, {I: df}), dom, scheme)
         return outer.component(tuple(sorted(I + (a,)))), shuffle_sign((a,), I)
 
-    def nested(self, f, a, b, dom, X):
-        s = self.SCHEME
+    def nested(self, f, a, b, dom, X, s=SCHEME):
         return partial_derivative(lambda Y: partial_derivative(f, b, Y, dom, s), a, X, dom, s)
 
     @pytest.mark.parametrize("dom, samples", [(PERIODIC4, 3), (UNIT3, 5)])
@@ -196,10 +195,11 @@ class TestSharedMixedPartials:
     def test_each_path_equals_the_nested_calls(self, dom, samples, fresh, rows, monkeypatch):
         # on the unit box, the lattice of 5 has points on the faces, where
         # the stencils shift.  The lattice reads its kept stencils, a fresh
-        # copy builds its own, and with 100 rows a walk takes 20 points at a
-        # time, each slice with stencils of its own.
+        # copy its own probe columns, and with 100 rows a walk takes 20
+        # points at a time: a slice of the lattice's stencils, or the probe
+        # columns of the slice's own points.
         if rows:
-            monkeypatch.setattr(forms, "_FD_ROWS", rows)
+            monkeypatch.setattr(chart, "_FD_ROWS", rows)
         f = fields.random_sine_field(np.random.default_rng(40), dom.dim, n_modes=2)
         X = uniform_grid(dom, samples)
         X = X.copy() if fresh else X
@@ -207,10 +207,36 @@ class TestSharedMixedPartials:
             comp, sign = self.second(f, a, b, dom)
             assert np.array_equal(comp(X), 0 + sign * self.nested(f, a, b, dom, X))
 
-    def test_a_first_derivative_is_not_sliced(self, monkeypatch):
-        # a walk of 20 points at a time would build stencils for each slice
-        monkeypatch.setattr(forms, "_FD_ROWS", 100)
-        f = fields.random_sine_field(np.random.default_rng(43), 3)
+    def test_a_sliced_walk_builds_stencils_only_for_node_sets(self, monkeypatch):
+        # 125 points at 20 a time: the points on the faces shift their
+        # stencils, so each slice reads a slice of the lattice's
+        # (order + 1, N) tables, and none builds a stencil of its own; nor
+        # does a walk on a copy, which is no node set.  A step of its own
+        # makes the lattice build its stencils here.
+        monkeypatch.setattr(chart, "_FD_ROWS", 100)
+        scheme = FDScheme(step=2e-3)
+        f = fields.random_sine_field(np.random.default_rng(44), 3, n_modes=2)
+        X = uniform_grid(UNIT3, 5)
+        built = []
+        new_stencil = chart._new_stencil
+        monkeypatch.setattr(chart, "_new_stencil",
+                            lambda P, *args: built.append(P) or new_stencil(P, *args))
+        pairs = list(itertools.product(range(3), repeat=2))
+        comps = [self.second(f, a, b, UNIT3, scheme) for a, b in pairs]
+        got = [(comp(X), comp(X.copy())) for comp, _ in comps]
+        assert len(built) == 3 and all(P is X for P in built)
+        monkeypatch.setattr(chart, "_new_stencil", new_stencil)
+        for (a, b), (_, sign), (values, copied) in zip(pairs, comps, got):
+            want = 0 + sign * self.nested(f, a, b, UNIT3, X, scheme)
+            assert np.array_equal(values, want) and np.array_equal(copied, want)
+
+    def test_a_first_level_leaf_is_called_once_on_the_kept_block(self, monkeypatch):
+        # every part weighs its slice of the values of one call on the
+        # lattice's kept block, which no part rebuilds
+        monkeypatch.setattr(chart, "_FD_ROWS", 100)
+        seen = []
+        g = fields.random_sine_field(np.random.default_rng(43), 3)
+        f = ScalarField(lambda X: seen.append(X) or g(X))
         df = exterior_derivative(PForm(0, 3, {(): f}), UNIT3, self.SCHEME)
         grid = uniform_grid(UNIT3, 5)
         df.component((1,))(grid)
@@ -218,9 +244,39 @@ class TestSharedMixedPartials:
         new_stencil = chart._new_stencil
         monkeypatch.setattr(chart, "_new_stencil",
                             lambda *args: built.append(args[1]) or new_stencil(*args))
+        seen.clear()
         got = df.component((1,))(grid)
         assert built == []
-        assert np.array_equal(got, 0 + partial_derivative(f, 1, grid, UNIT3, self.SCHEME))
+        block = chart._kept[id(grid)][(1, UNIT3, self.SCHEME)][0]
+        assert sum(map(len, seen)) == len(block)
+        assert all(np.shares_memory(X, block) for X in seen)
+        assert np.array_equal(got, 0 + partial_derivative(g, 1, grid, UNIT3, self.SCHEME))
+
+    @pytest.mark.parametrize("fresh, cap", [(True, None), (False, 400), (False, 600)])
+    def test_a_sliced_first_derivative_weighs_the_probes_it_evaluates(self, fresh, cap,
+                                                                      monkeypatch):
+        # 125 points, 20 at a time.  A copy is no node set, and with 400 rows
+        # kept at most the lattice keeps no block: each part probes its own
+        # points, and one whose points all lie off the faces of the axis has
+        # no centre row.  With 600, order * 125 = 500 rows fit, so the call
+        # builds each (order + 1) * 125-row block, which is not kept, and
+        # every part slices it.
+        monkeypatch.setattr(chart, "_FD_ROWS", 100)
+        if cap:
+            monkeypatch.setattr(chart, "_STENCIL_ROWS_KEPT", cap)
+        chart._node_set.cache_clear()
+        f = fields.random_sine_field(np.random.default_rng(45), 3)
+        X = uniform_grid(UNIT3, 5)
+        X = X.copy() if fresh else X
+        df = exterior_derivative(PForm(0, 3, {(): f}), UNIT3, self.SCHEME)
+        built = []
+        new_stencil = chart._new_stencil
+        monkeypatch.setattr(chart, "_new_stencil",
+                            lambda P, *args: built.append(P) or new_stencil(P, *args))
+        got = [df.component((a,))(X) for a in range(3)]
+        assert len(built) == (3 if cap == 600 else 0) and all(P is X for P in built)
+        for a in range(3):
+            assert np.array_equal(got[a], 0 + partial_derivative(f, a, X, UNIT3, self.SCHEME))
 
     def test_a_derivative_on_another_scheme_is_a_leaf(self):
         inner, outer = FDScheme(order=2), self.SCHEME
@@ -384,6 +440,22 @@ class TestMaxwell:
         assert report.passed
         assert rows == [4096] * 27
         assert set(built) <= {len(uniform_grid(self.DOM, 4))}
+
+    def test_a_sliced_run_builds_stencils_only_for_the_lattice(self, monkeypatch):
+        # 256 points, 12 at a time with 64 rows; a step of its own makes the
+        # lattice build its stencils here.  Slicing moves no check value.
+        config = scenarios.ScenarioConfig("maxwell_vacuum", samples=4, fd_step=2e-3)
+        want = [(c.name, c.value) for c in scenarios.run_scenario(config).checks]
+        chart._node_set.cache_clear()
+        monkeypatch.setattr(chart, "_FD_ROWS", 64)
+        built = []
+        new_stencil = chart._new_stencil
+        monkeypatch.setattr(chart, "_new_stencil",
+                            lambda P, *args: built.append(P) or new_stencil(P, *args))
+        report = scenarios.run_scenario(config)
+        grid = uniform_grid(self.DOM, 4)
+        assert len(built) == 4 and all(P is grid for P in built)
+        assert [(c.name, c.value) for c in report.checks] == want
 
     def test_a_run_keeps_no_nested_block(self):
         # only single-axis stencils of the probe lattice stay, freed with it

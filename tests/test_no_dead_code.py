@@ -20,6 +20,9 @@ passes it and a call that omits it.
 A `@dataclass` earns its creation cost by validating in `__post_init__` or
 by defining a method that is not a property; a record that only carries
 data is a `typing.NamedTuple`.
+
+A module of the library reaches another only through its public names: no
+`from .chart import _name`, and no `chart._name` on a module it imports.
 """
 from __future__ import annotations
 
@@ -143,6 +146,26 @@ def plain_dataclasses() -> list[str]:
                               and "property" not in _decorators(item) for item in node.body))
 
 
+def private_imports() -> list[str]:
+    """"module: other._name" for every underscore-prefixed name that a module
+    of the library imports from, or reads off, another of its modules."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imports = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                   and (n.level or (n.module or "").split(".")[0] == "jetstress")]
+        # `from . import chart` binds a module, whose attributes are read below
+        modules = {a.asname or a.name for n in imports if n.module in (None, "jetstress")
+                   for a in n.names}
+        found += [f"{path.stem}: {n.module}.{a.name}" for n in imports for a in n.names
+                  if a.name.startswith("_")]
+        found += [f"{path.stem}: {n.value.id}.{n.attr}" for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                  and n.value.id in modules and n.attr.startswith("_")
+                  and not n.attr.startswith("__")]
+    return sorted(found)
+
+
 def test_every_public_definition_is_used():
     assert unused_public_names() == []
 
@@ -161,3 +184,7 @@ def test_every_default_is_relied_on():
 
 def test_every_dataclass_validates_or_has_a_method():
     assert plain_dataclasses() == []
+
+
+def test_no_module_imports_another_modules_private_names():
+    assert private_imports() == []
