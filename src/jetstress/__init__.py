@@ -25,12 +25,14 @@ from .sections import (
     iso_K_inv,
     jet_prolong_config,
     jet_prolong_velocity,
+    velocity_jets,
 )
 from .stress import (
     TractionStressDensity,
     VariationalStressDensity,
     divergence,
     exterior_jet,
+    pair_blocks,
     stress_pairing,
     traction_extract,
     virtual_power_of_stress,

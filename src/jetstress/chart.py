@@ -14,11 +14,14 @@ each one numpy pairwise sum, so no value depends on the BLAS thread count.
 This module is the one place that walks a point set (`sup_norm` over a probe
 lattice, the quadrature sum), builds a first jet (`jet`), sums a divergence
 (`fd_divergence`) or evaluates a derivative expression (`Derivative`); the
-identity modules compose these.  A finite difference calls its field once,
-on the stencil rows of every point stacked into one block (`_stencil`), in
-slices of at most _FD_ROWS rows (`_evaluate`), and weighs the values with
-the stencil's weight table (`_weigh`); `partial_derivative`, `jet` and a
-`Derivative`'s first level share these steps.  The weights are exact
+identity modules compose these.  A finite difference is two steps.
+`stencil_values` calls each field once on one block that stacks the points
+and the stencil rows of the axes asked for (`_stencil`), in slices of at most
+_FD_ROWS rows (`_evaluate`), and `weigh` weighs a stencil's values with its
+weight table.  `partial_derivative`, `jet` and a `Derivative`'s first level
+take these steps, and an identity check that needs a field's values and
+derivatives on one point set takes them too, so that it evaluates the field
+once there and forms every side from the same values.  The weights are exact
 rationals rounded once (`_fd_weights`), so an axis on which no point shifts
 its stencil, every periodic one among them, leaves out the centre row, whose
 weight is exactly 0.
@@ -326,20 +329,44 @@ def _evaluate(f: Evaluator, block: np.ndarray, out: np.ndarray) -> None:
         out[i:i + _FD_ROWS] = f(block[i:i + _FD_ROWS])
 
 
-def _stencil_values(f: Evaluator, stencil: tuple[np.ndarray, np.ndarray]
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """f's (k, N) values on a `_stencil` block, which it is handed as it is,
-    and the block's weight table."""
-    block, table = stencil
-    vals = np.empty(len(block))
-    _evaluate(f, block, vals)
-    return vals.reshape(len(table), -1), table
+def _values(fs: Sequence[Evaluator], stencils: Sequence[tuple[np.ndarray, np.ndarray | None]]
+            ) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """Each field of fs called once on the blocks of `stencils` stacked into
+    one, and a lone block handed as it is; per (block, table) its values,
+    (len(fs), k, N) for a stencil with a (k, N) or (k, 1) table, and
+    (len(fs), N) for a block of points, whose table is None."""
+    blocks = [b for b, _ in stencils]
+    block = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    vals = np.empty((len(fs), len(block)))
+    for f, out in zip(fs, vals):
+        _evaluate(f, block, out)
+    out, start = [], 0
+    for b, table in stencils:
+        part = vals[:, start:start + len(b)]
+        out.append((part, None) if table is None
+                   else (part.reshape(len(fs), len(table), -1), table))
+        start += len(b)
+    return out
 
 
-def _weigh(vals: np.ndarray, table: np.ndarray, h: float) -> np.ndarray:
+def stencil_values(fs: Sequence[Evaluator], P: np.ndarray, axes: Sequence[int | None],
+                   dom: ChartDomain, scheme: FDScheme
+                   ) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """The fields fs at the points P (N, d) and on their stencils, each field
+    called once on one block (in slices of at most _FD_ROWS rows): for each
+    entry of `axes` in turn, the N points for None, else the `_stencil` rows
+    along that axis.  Per entry, the values, (len(fs), N) at the points with
+    table None, or (len(fs), k, N) on a stencil with its weight table, which
+    `weigh` turns into derivatives along the axis.  P is used as it is, so
+    that a node set finds its kept stencils."""
+    return _values(fs, [(P, None) if a is None else _stencil(P, a, dom, scheme) for a in axes])
+
+
+def weigh(vals: np.ndarray, table: np.ndarray, h: float) -> np.ndarray:
     """(..., N) derivative values from the (..., k, N) stencil values, weighed
-    by a (k, N) or (k, 1) table, or one that broadcasts to them, in place
-    unless read-only, summed in offset order and divided by h."""
+    by a (k, N) or (k, 1) table, or one that broadcasts to them, summed in
+    offset order and divided by h.  Writeable values are weighed in place, so
+    a caller that reads them again weighs them last or hands a read-only view."""
     vals = np.multiply(vals, table, out=vals if vals.flags.writeable else None)
     out = np.add.reduce(vals, axis=-2, initial=0.0)
     out /= h
@@ -408,7 +435,7 @@ class Derivative(NamedTuple):
         for s, ax, g in self.terms:
             deeper, table = self.level(P, part, cols, ax, memo, whole)
             # for s = +-1, s * (sum / h) is bitwise sum / (s * h)
-            total = total + _weigh(self.child(g, P, part, path + (ax,), deeper, memo, whole),
+            total = total + weigh(self.child(g, P, part, path + (ax,), deeper, memo, whole),
                                    table, s * self.scheme.step)
         return total
 
@@ -439,7 +466,8 @@ class Derivative(NamedTuple):
         key = (id(f), tuple(sorted(path)))
         if len(path) == 1 and whole[path[0]]:  # once on P's stencil, as partial_derivative
             if key not in whole:
-                whole[key] = _stencil_values(f, whole[path[0]])[0]
+                [(vals, _)] = _values([f], [whole[path[0]]])
+                whole[key] = vals[0]
                 whole[key].flags.writeable = False
             return whole[key][:, part]
         # a leaf's values are kept with their levels in axis order, shared by
@@ -465,7 +493,8 @@ def partial_derivative(f: Evaluator, axis: int, p, dom: ChartDomain,
     """
     p = np.asarray(p, dtype=float)
     P = p if p.ndim == 2 else p.reshape(-1, dom.dim)
-    out = _weigh(*_stencil_values(f, _stencil(P, axis, dom, scheme)), scheme.step)
+    [(vals, table)] = stencil_values([f], P, (axis,), dom, scheme)
+    out = weigh(vals[0], table, scheme.step)
     return float(out[0]) if p.ndim == 1 else out.reshape(p.shape[:-1])
 
 
@@ -474,25 +503,17 @@ def jet(fs: Sequence[Evaluator], X, dom: ChartDomain,
     """First jet of the fields fs at X (..., d): the values (..., m) and the
     (..., m, d) block of base derivatives, entry [..., i, a] differentiating
     fs[i] along axis a.  Each field is called once (per _FD_ROWS slice), on
-    one block of X's N rows followed by every axis's stencil rows, so the
-    values are bitwise fs[i](X) and entry [..., i, a] is bitwise the
-    partial_derivative of fs[i] along a, without going through it."""
+    one block of X's N rows followed by every axis's stencil rows
+    (`stencil_values`), so the values are bitwise fs[i](X) and entry
+    [..., i, a] is bitwise the partial_derivative of fs[i] along a."""
     X = np.asarray(X, dtype=float)
     P = X if X.ndim == 2 else X.reshape(-1, dom.dim)
-    stencils = [_stencil(P, a, dom, scheme) for a in range(dom.dim)]
-    block = np.concatenate([P] + [b for b, _ in stencils])
-    vals = np.empty((len(fs), len(block)))
-    for f, out in zip(fs, vals):
-        _evaluate(f, block, out)
+    (vals, _), *stencils = stencil_values(fs, P, (None, *range(dom.dim)), dom, scheme)
     grad = np.empty((len(P), len(fs), dom.dim))
-    start = N = len(P)
-    for a, (_, table) in enumerate(stencils):
-        stop = start + len(table) * N
-        grad[..., a] = _weigh(vals[:, start:stop].reshape(len(fs), len(table), N),
-                              table, scheme.step).T
-        start = stop
+    for a, (axis_vals, table) in enumerate(stencils):
+        grad[..., a] = weigh(axis_vals, table, scheme.step).T
     # a copy, so that the values do not hold the whole block
-    return (vals[:, :N].T.copy().reshape(X.shape[:-1] + (len(fs),)),
+    return (vals.T.copy().reshape(X.shape[:-1] + (len(fs),)),
             grad.reshape(X.shape[:-1] + grad.shape[1:]))
 
 

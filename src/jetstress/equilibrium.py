@@ -10,10 +10,11 @@ from .chart import (
     face_grid,
     sup_norm,
     uniform_grid,
+    volume_nodes,
 )
 from .fields import scaled
 from .forces import BodyForceDensity, ForceFunctional, virtual_power_of_force
-from .sections import VelocityField
+from .sections import VelocityField, velocity_jets
 from .stress import (
     VariationalStressDensity,
     cauchy_face_components,
@@ -56,6 +57,7 @@ def weak_strong_consistency(s: VariationalStressDensity, v: VelocityField,
     represents (body -div(s), Cauchy tractions on the faces)|; the two sides
     share only the quadrature: jet pairing on one, divergence plus Cauchy
     traction on the other."""
-    lhs = virtual_power_of_stress(s, (v,), dom, rule, scheme)[0]
+    eta = velocity_jets((v,), volume_nodes(dom, rule)[0], dom, scheme)
+    lhs = virtual_power_of_stress(s, eta, dom, rule)[0]
     rhs = virtual_power_of_force(force_from_stress(s, dom, scheme), (v,), dom, rule)[0]
     return abs(lhs - rhs)

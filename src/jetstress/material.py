@@ -29,10 +29,18 @@ from .chart import (
     ScalarField,
     integrate_face,
     integrate_volume,
+    volume_nodes,
 )
 from .equilibrium import equilibrium_residuals
 from .forces import BodyForceDensity, ForceFunctional
-from .sections import Configuration, JetPoint, JetSection, VelocityField, jet_prolong_config
+from .sections import (
+    Configuration,
+    JetPoint,
+    JetSection,
+    VelocityField,
+    jet_prolong_config,
+    velocity_jets,
+)
 from .stress import VariationalStressDensity, virtual_power_of_stress
 
 # jet coordinates (X (..., d), x (..., m), xprime (..., m, d)) -> values (...)
@@ -185,7 +193,8 @@ def energy_variation_residual(kappa: Configuration, v: VelocityField,
 
     psi = constitutive_from_lagrangian(L, kappa.fiber_dim, dom.dim)
     s = pullback_constitutive(psi, kappa, dom, scheme)
-    rhs = virtual_power_of_stress(s, (v,), dom, rule, scheme)[0]
+    eta = velocity_jets((v,), volume_nodes(dom, rule)[0], dom, scheme)
+    rhs = virtual_power_of_stress(s, eta, dom, rule)[0]
     return abs(lhs - rhs)
 
 

@@ -11,7 +11,7 @@ recomputed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -86,6 +86,23 @@ def jet_prolong_velocity(v: VelocityField, dom: ChartDomain,
                          scheme: FDScheme = FDScheme()) -> VelocityJet:
     """Jet prolongation of a velocity field: xdot = v(X), xdotprime = base gradient of v."""
     return VelocityJet(lambda X: jet(v.components, X, dom, scheme), v.fiber_dim)
+
+
+def velocity_jets(vs: Sequence[VelocityField], X, dom: ChartDomain,
+                  scheme: FDScheme) -> tuple[np.ndarray, np.ndarray]:
+    """The jets of the velocity fields vs at X (..., d), stacked on a leading
+    axis, (k, ..., m) and (k, ..., m, d): views of one `jet` of all their
+    components, ready to pair with a stress (`stress.virtual_power_of_stress`)."""
+    if not vs:
+        raise ValueError("no velocity fields")
+    m = vs[0].fiber_dim
+    if any(v.fiber_dim != m for v in vs):
+        raise ValueError("fiber dimensions differ")
+    vals, grads = jet([f for v in vs for f in v.components], X, dom, scheme)
+    # (..., k*m) -> (k, ..., m) and (..., k*m, d) -> (k, ..., m, d)
+    vals = vals.reshape(vals.shape[:-1] + (len(vs), m))
+    grads = grads.reshape(grads.shape[:-2] + (len(vs), m, dom.dim))
+    return np.moveaxis(vals, -2, 0), np.moveaxis(grads, -3, 0)
 
 
 def iso_K(X, x, xprime, xdot, xdotprime):

@@ -9,7 +9,7 @@ derivatives of the composed coefficient fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,13 +21,12 @@ from .chart import (
     ScalarField,
     fd_divergence,
     integrate_volume,
-    jet,
     # not called here; perfbench's tracer test checks that this binding is patched
     partial_derivative,  # noqa: F401
 )
 from .fields import scaled
 from .forces import BodyForceDensity
-from .sections import VelocityField, VelocityJet
+from .sections import VelocityJet
 
 
 @dataclass(frozen=True)
@@ -69,52 +68,46 @@ class TractionStressDensity(NamedTuple):
         return len(self.tau)
 
 
-def stress_pairing(s: VariationalStressDensity, eta: VelocityJet, X):
-    """Density coefficient s_i * xdot^i + s_i^a * xdot'^i_a at one point (a
-    float) or at each point of a set (an array).  The jet blocks may carry
-    leading axes in front of X's point axes, one index per velocity; the
-    stress is evaluated once and its blocks broadcast against them."""
-    if s.fiber_dim != eta.fiber_dim:
-        raise ValueError("fiber dimensions differ")
-    xd, xdp = eta(X)
-    if xdp.shape[-2:] != (s.fiber_dim, s.base_dim):
+def pair_blocks(stress_blocks: tuple[np.ndarray, np.ndarray],
+                jet_blocks: tuple[np.ndarray, np.ndarray]):
+    """Density coefficient s_i * xdot^i + s_i^a * xdot'^i_a of evaluated
+    blocks: the stress's (s_i) (..., m) and (s_i^a) (..., m, d), as
+    `VariationalStressDensity.value` returns them, and a velocity jet's
+    (xdot) and (xdot') of the same shapes, summed over i and then a in
+    order.  The jet blocks may carry leading axes in front of the point
+    axes, one index per velocity, and the stress blocks broadcast against
+    them."""
+    (lower, mixed), (xd, xdp) = stress_blocks, jet_blocks
+    if xdp.shape[-2:] != mixed.shape[-2:]:
         raise ValueError("gradient block shape mismatch")
-    lower, mixed = s.value(X)
     total = 0.0
-    for i in range(s.fiber_dim):
+    for i in range(mixed.shape[-2]):
         total += lower[..., i] * xd[..., i]
-        for a in range(s.base_dim):
+        for a in range(mixed.shape[-1]):
             total += mixed[..., i, a] * xdp[..., i, a]
     return total
 
 
-def virtual_power_of_stress(s: VariationalStressDensity, vs: Sequence[VelocityField],
-                            dom: ChartDomain,
-                            rule: QuadratureRule = QuadratureRule(),
-                            scheme: FDScheme = FDScheme()) -> np.ndarray:
-    """Virtual power expended by the stress on each velocity field of vs: the
-    volume integral of the pairing with the jet prolongation of v, shape
-    (len(vs),).  The pairing is linear in the velocity, so one evaluation of
-    the stress on the volume nodes serves every velocity: their jets, from
-    one `jet` of all their components, are stacked on a leading axis and
-    contracted with it in one quadrature pass."""
-    if not vs:
-        raise ValueError("no velocity fields")
-    if any(v.fiber_dim != s.fiber_dim for v in vs):
+def stress_pairing(s: VariationalStressDensity, eta: VelocityJet, X):
+    """Density coefficient s_i * xdot^i + s_i^a * xdot'^i_a at one point (a
+    float) or at each point of a set (an array): the stress and the jet
+    evaluated once at X and their blocks paired (`pair_blocks`)."""
+    if s.fiber_dim != eta.fiber_dim:
         raise ValueError("fiber dimensions differ")
+    return pair_blocks(s.value(X), eta(X))
 
-    comps = [f for v in vs for f in v.components]
 
-    def jets(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # one jet of all k*m components, (..., k*m) -> (k, ..., m) and
-        # (..., k*m, d) -> (k, ..., m, d)
-        vals, grads = jet(comps, X, dom, scheme)
-        vals = vals.reshape(vals.shape[:-1] + (len(vs), s.fiber_dim))
-        grads = grads.reshape(grads.shape[:-2] + (len(vs), s.fiber_dim, dom.dim))
-        return np.moveaxis(vals, -2, 0), np.moveaxis(grads, -3, 0)
-
-    eta = VelocityJet(jets, s.fiber_dim)
-    return integrate_volume(lambda X: stress_pairing(s, eta, X), dom, rule)
+def virtual_power_of_stress(s: VariationalStressDensity,
+                            jets: tuple[np.ndarray, np.ndarray], dom: ChartDomain,
+                            rule: QuadratureRule = QuadratureRule()):
+    """Virtual power expended by the stress on velocities whose jets the
+    caller evaluated on the rule's volume nodes (`sections.velocity_jets`):
+    the volume integral of the pairing, one power per leading index of the
+    jet blocks.  The stress is evaluated once on the nodes and its blocks are
+    paired with every velocity's in one quadrature pass, so a caller that
+    keeps the jets pairs them with many stresses without building them
+    again."""
+    return integrate_volume(lambda X: pair_blocks(s.value(X), jets), dom, rule)
 
 
 def traction_extract(s: VariationalStressDensity) -> TractionStressDensity:

@@ -477,6 +477,45 @@ class TestJet:
             assert rows == [(1 + 5 + 4 + 5) * len(pts)]
 
 
+class TestStencilValues:
+    """`stencil_values` calls each field once on the blocks it is asked for,
+    in their order; its values at the points are the fields' own and its
+    weighed stencil values their partial_derivatives, bitwise."""
+
+    @pytest.mark.parametrize("axes", [(None,), (1,), (None, 1), (0, None), (None, 0, 1)])
+    def test_each_field_once_on_the_requested_blocks(self, axes):
+        dom, scheme = ChartDomain.unit(2, periodic=[1]), FDScheme()
+        pts = uniform_grid(dom, 5)
+        rng = np.random.default_rng(27)
+        counted = [TestBatchedProtocol.counted(fields.random_polynomial(rng, 2, 3))
+                   for _ in range(2)]
+        fs = [f for f, _ in counted]
+        got = chart.stencil_values(fs, pts, axes, dom, scheme)
+        # the boundary axis 0 has points on its faces, the periodic axis 1 none
+        rows = {None: 1, 0: 5, 1: 4}
+        for _, calls in counted:
+            assert calls == [sum(rows[a] for a in axes) * len(pts)]
+        assert len(got) == len(axes)
+        for a, (vals, table) in zip(axes, got):
+            for f, row in zip(fs, vals):
+                if a is None:
+                    assert table is None and np.array_equal(row, f(pts))
+                else:
+                    assert row.shape == (rows[a], len(pts))
+                    assert np.array_equal(chart.weigh(row, table, scheme.step),
+                                          partial_derivative(f, a, pts, dom, scheme))
+
+    def test_weigh_overwrites_writeable_values_only(self):
+        vals = np.arange(8.0).reshape(2, 4)
+        table = np.array([[-1.0], [1.0]])
+        kept = vals.copy()
+        kept.flags.writeable = False
+        assert np.array_equal(chart.weigh(kept, table, 0.5), [8.0] * 4)
+        assert np.array_equal(kept, np.arange(8.0).reshape(2, 4))
+        assert np.array_equal(chart.weigh(vals, table, 0.5), [8.0] * 4)
+        assert np.array_equal(vals[0], -np.arange(4.0))
+
+
 class TestSharedNodeSets:
     """Node sets are built once and shared read-only; the stencils of a node
     set are kept, those of any other point set are built on every call."""

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import subprocess
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetstress import cli, fields, forms, scenarios, stress
-from jetstress.chart import BoundaryFace
+from jetstress.chart import BoundaryFace, ScalarField
 from jetstress.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
@@ -396,6 +397,48 @@ class TestNanInOnePieceFailsItsCheck:
         monkeypatch.setattr(forms, "wedge", nan_last_index)
         r = run_scenario(ScenarioConfig("pform_leibniz", samples=3))
         assert self.nan_checks(r) == {"leibniz": "le", "anticommute": "le"}
+
+
+class TestEachFieldOncePerPointArray:
+    """Within one check the identity checks call no polynomial field twice on
+    the same point array (same shape and bytes), and `null_stress` builds
+    its test velocities' jets once per run, whatever its case count."""
+
+    @staticmethod
+    def record_calls(monkeypatch) -> list[tuple[int, tuple[int, ...], bytes]]:
+        """(field, shape, bytes) of every call of a polynomial field that a
+        scenario draws, the fields numbered in drawing order."""
+        calls, polynomial, numbers = [], fields.random_polynomial, itertools.count()
+
+        def drawn(*args):
+            f, index = polynomial(*args), next(numbers)
+
+            def ev(X):
+                calls.append((index, X.shape, X.tobytes()))
+                return f(X)
+
+            return ScalarField(ev)
+
+        monkeypatch.setattr(fields, "random_polynomial", drawn)
+        return calls
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("scenario", ["divergence_identity", "exterior_jet_identity"])
+    def test_no_field_twice_on_one_point_array(self, monkeypatch, scenario, m):
+        calls = self.record_calls(monkeypatch)
+        r = run_scenario(ScenarioConfig(scenario, d=2, m=m, count=1, samples=5))
+        assert r.passed and len(r.checks) == 1
+        repeated = len(calls) - len(set(calls))
+        assert calls and repeated == 0
+
+    def test_null_stress_evaluates_its_test_jets_once_per_run(self, monkeypatch):
+        calls = self.record_calls(monkeypatch)
+        r = run_scenario(ScenarioConfig("null_stress", count=2))
+        assert r.passed and len(r.checks) == 6
+        # its only polynomials are the m = 2 components of its 10 test
+        # velocities, each called once, on one jet block of the volume nodes
+        assert sorted(index for index, _, _ in calls) == list(range(20))
+        assert len({(shape, data) for _, shape, data in calls}) == 1
 
 
 class TestEmit:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import stress_power
 
 from jetstress import fields
 from jetstress.chart import BoundaryFace, ChartDomain, QuadratureRule, ScalarField, stokes_residual
@@ -19,10 +20,7 @@ from jetstress.forces import (
     virtual_power_of_force,
 )
 from jetstress.sections import Configuration, VelocityField
-from jetstress.stress import (
-    VariationalStressDensity,
-    virtual_power_of_stress,
-)
+from jetstress.stress import VariationalStressDensity
 
 UNIT1 = ChartDomain.unit(1)
 UNIT2 = ChartDomain.unit(2)
@@ -208,7 +206,7 @@ class TestWeakStrong:
         s = exterior_jet(tau, UNIT2)
         rng = np.random.default_rng(6)
         v = VelocityField((fields.random_polynomial(rng, 2, 3),))
-        assert abs(virtual_power_of_stress(s, (v,), UNIT2, rule)[0]) <= 1e-8
+        assert abs(stress_power(s, (v,), UNIT2, rule)[0]) <= 1e-8
         assert weak_strong_consistency(s, v, UNIT2, rule) <= 1e-8
 
     def test_force_representation_matches_stress_power(self):
@@ -219,7 +217,7 @@ class TestWeakStrong:
         for _ in range(3):
             v = VelocityField((fields.random_polynomial(rng, 2, 3),))
             pf = virtual_power_of_force(f, (v,), UNIT2)[0]
-            ps = virtual_power_of_stress(s, (v,), UNIT2)[0]
+            ps = stress_power(s, (v,), UNIT2)[0]
             assert abs(pf - ps) <= 1e-6
 
 
@@ -322,9 +320,9 @@ class TestChartChange:
               for _ in range(3)]
         s2 = self.moved_stress(s, Y, J)
         vs2 = [VelocityField(tuple(self.moved(c, Y) for c in v.components)) for v in vs]
-        power = virtual_power_of_stress(s, vs, unit, QuadratureRule())
+        power = stress_power(s, vs, unit)
         assert np.max(np.abs(power)) > 0.1
-        np.testing.assert_allclose(virtual_power_of_stress(s2, vs2, dom, QuadratureRule()),
+        np.testing.assert_allclose(stress_power(s2, vs2, dom),
                                    power, rtol=0, atol=1e-12)
         for v, v2 in zip(vs, vs2):
             assert weak_strong_consistency(s2, v2, dom) == pytest.approx(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import stress_power
 
 from jetstress import fields
 from jetstress.chart import (
@@ -11,9 +12,10 @@ from jetstress.chart import (
     integrate_volume,
     partial_derivative,
     uniform_grid,
+    volume_nodes,
 )
 from jetstress.forces import BodyForceDensity, ForceFunctional
-from jetstress.sections import VelocityField, VelocityJet, jet_prolong_velocity
+from jetstress.sections import VelocityField, VelocityJet, jet_prolong_velocity, velocity_jets
 from jetstress.stress import (
     TractionStressDensity,
     VariationalStressDensity,
@@ -91,13 +93,14 @@ class TestVirtualPower:
     def test_zero(self):
         s = const_stress([0.0], [[0.0]])
         v = VelocityField((ScalarField(lambda X: X[..., 0]),))
-        assert virtual_power_of_stress(s, (v,), UNIT1)[0] == 0.0
+        jets = velocity_jets((v,), volume_nodes(UNIT1, QuadratureRule())[0], UNIT1, FDScheme())
+        assert virtual_power_of_stress(s, jets, UNIT1)[0] == 0.0
 
     def test_gradient_pairing(self):
         # s_1^1 = 1, v = X: power = integral of dv/dX = 1
         s = const_stress([0.0], [[1.0]])
         v = VelocityField((ScalarField(lambda X: X[..., 0]),))
-        assert virtual_power_of_stress(s, (v,), UNIT1)[0] == pytest.approx(1.0, abs=1e-10)
+        assert stress_power(s, (v,), UNIT1)[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_homogeneous_in_stress(self):
         rng = np.random.default_rng(4)
@@ -106,8 +109,8 @@ class TestVirtualPower:
             tuple(fields.scaled(f, 2.0) for f in s.s_lower),
             tuple(tuple(fields.scaled(f, 2.0) for f in row) for row in s.s_mixed))
         v = VelocityField((fields.random_polynomial(rng, 1, 3),))
-        p1 = virtual_power_of_stress(s, (v,), UNIT1)[0]
-        p2 = virtual_power_of_stress(s2, (v,), UNIT1)[0]
+        p1 = stress_power(s, (v,), UNIT1)[0]
+        p2 = stress_power(s2, (v,), UNIT1)[0]
         assert p2 == pytest.approx(2 * p1, rel=1e-12)
 
     def test_stress_evaluated_once_for_any_number_of_velocities(self):
@@ -135,7 +138,7 @@ class TestVirtualPower:
 
         def evaluate(velocities):
             calls.update(dict.fromkeys(calls, 0))
-            return virtual_power_of_stress(s, velocities, UNIT2, rule), dict(calls)
+            return stress_power(s, velocities, UNIT2, rule), dict(calls)
 
         _, one = evaluate(vs[:1])
         powers, five = evaluate(vs)
@@ -167,9 +170,9 @@ class TestVirtualPower:
 
         want = integrate_volume(lambda X: stress_pairing(s, VelocityJet(jets, m), X),
                                 UNIT2, rule)
-        got = virtual_power_of_stress(s, vs, UNIT2, rule, scheme)
+        got = stress_power(s, vs, UNIT2, rule, scheme)
         assert got.shape == (k,) and np.array_equal(got, want)
-        singles = [virtual_power_of_stress(s, [v], UNIT2, rule, scheme)[0] for v in vs]
+        singles = [stress_power(s, [v], UNIT2, rule, scheme)[0] for v in vs]
         assert np.array_equal(got, singles)
 
     def test_value_blocks_match_component_fields(self):
@@ -196,11 +199,15 @@ class TestVirtualPower:
         for j, eta in enumerate(etas):
             assert np.array_equal(paired[j], stress_pairing(s, eta, X))
 
-    @pytest.mark.parametrize("vs", [[], [VelocityField((fields.constant_field(1.0),))]],
-                             ids=["empty", "fiber-mismatch"])
-    def test_bad_velocity_sequence_rejected(self, vs):
-        with pytest.raises(ValueError):
-            virtual_power_of_stress(random_stress(np.random.default_rng(1), 2, 2), vs, UNIT2)
+    @pytest.mark.parametrize("vs, message", [
+        ([], "no velocity fields"),
+        ([VelocityField((fields.constant_field(1.0),))], "gradient block shape mismatch"),
+        ([VelocityField((fields.constant_field(1.0),) * 2),
+          VelocityField((fields.constant_field(1.0),))], "fiber dimensions differ"),
+    ], ids=["empty", "fiber-mismatch", "mixed-fibers"])
+    def test_bad_velocity_sequence_rejected(self, vs, message):
+        with pytest.raises(ValueError, match=message):
+            stress_power(random_stress(np.random.default_rng(1), 2, 2), vs, UNIT2)
 
 
 class TestTractionExtract:
@@ -332,5 +339,5 @@ def test_null_stress_zero_virtual_power():
     s = exterior_jet(tau, UNIT1)
     rng = np.random.default_rng(2)
     vs = [VelocityField((fields.random_polynomial(rng, 1, 3),)) for _ in range(3)]
-    for power in virtual_power_of_stress(s, vs, UNIT1, rule):
+    for power in stress_power(s, vs, UNIT1, rule):
         assert abs(power) <= 1e-8
